@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Builds the fleet binaries (snc-server, snc-router) and the benchmark
-# driver from this checkout, then runs the driver with the given
+# binary (ladderbench) from this checkout, then runs it with the given
 # arguments, e.g.
 #
 #   bash ladderbench/run.sh --workload warm-hit --seed 1 --seconds 15 --trace 0
 #
 # Build output goes to $CARGO_TARGET_DIR (default: .bench_build at the
-# checkout root); the driver finds the fleet binaries beside itself.
+# checkout root); ladderbench finds the fleet binaries beside itself.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-.bench_build}"

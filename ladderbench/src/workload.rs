@@ -23,8 +23,13 @@ const SAMPLING_BUDGET: u64 = 1024;
 /// one background connection of the traced run.
 pub const STREAMS: u64 = 4;
 /// Distinct budgets available to `cold-sampling`'s LIF-GW requests per
-/// graph before one would repeat (and hit the response cache).
-const BUDGET_SPAN: u64 = 512;
+/// graph before one would repeat (and hit the response cache): 1024
+/// budgets over 4 streams last 256 cycles, or 2560 requests per stream,
+/// well past a 45-s run even at 65 requests/s.
+const BUDGET_SPAN: u64 = 1024;
+/// Requests per stream the generator is checked to never repeat within.
+#[cfg(test)]
+const UNIQUE_PER_STREAM: u64 = 2560;
 /// The generated graph size on the sampling and SDP workloads.
 const GNP_N: usize = 100;
 const GNP_P: f64 = 0.1;
@@ -455,7 +460,7 @@ mod tests {
     fn cold_requests_never_repeat_within_a_run() {
         for workload in [Workload::ColdSdp, Workload::ColdSampling] {
             let mut bodies: Vec<String> = (0..STREAMS)
-                .flat_map(|s| stream_bodies(workload, 11, s, 600))
+                .flat_map(|s| stream_bodies(workload, 11, s, UNIQUE_PER_STREAM))
                 .collect();
             let total = bodies.len();
             bodies.sort();
