@@ -32,7 +32,11 @@ use workload::{cold_request, primed_requests, warm_corpus, Request, Workload};
 const USAGE: &str = "usage: ladderbench --workload cold-sdp|cold-sampling|warm-hit --seed N --seconds N --trace 0|1";
 /// Set-ups per run; `setup_s` is their median and the last fleet runs
 /// the load.
-const SETUPS: usize = 3;
+const SETUPS: usize = 5;
+/// Seconds the closed loop runs before the timed `--seconds` begin, so
+/// that dataset loads and first allocations in the fleet are not timed.
+/// Their requests are still checked.
+const LEAD_IN_S: u64 = 3;
 /// Persistent client connections (the closed loop's width).
 const CONNS: usize = 2;
 /// Generator stream of the queue-wait probes in the traced run, and of
@@ -450,6 +454,7 @@ fn metadata(args: &Args, attempted: u64, steal_share: Option<f64>) -> Json {
         ("workload".into(), Json::str(args.workload.name())),
         ("seed".into(), Json::UInt(args.seed)),
         ("run_seconds".into(), Json::UInt(args.seconds)),
+        ("lead_in_seconds".into(), Json::UInt(LEAD_IN_S)),
         ("trace".into(), Json::Bool(args.trace)),
         ("requests".into(), Json::UInt(attempted)),
         // The share of the machine's CPU time the hypervisor gave to other
@@ -534,7 +539,7 @@ fn run(args: &Args) -> Result<bool, String> {
     };
     let before = scrape(&mut ready)?;
     let cpu_before = cpu_ticks();
-    let deadline = Instant::now() + Duration::from_secs(args.seconds);
+    let deadline = Instant::now() + Duration::from_secs(LEAD_IN_S + args.seconds);
     let started = Instant::now();
     let logs = load::run(&mut ready.clients, router, &traffic, &|| {
         Instant::now() >= deadline
@@ -572,11 +577,17 @@ fn run(args: &Args) -> Result<bool, String> {
         .flat_map(|l| {
             l.samples
                 .iter()
-                .map(|s| (s.completed_s, s.latency_ms, s.ok))
+                .map(|s| (s.completed_s - LEAD_IN_S as f64, s.latency_ms, s.ok))
         })
         .collect();
-    let figures = stats::windowed(&loop_samples, args.seconds);
-    let mean_ms = stats::mean(&loop_samples.iter().map(|s| s.1).collect::<Vec<_>>());
+    let figures = stats::figures(&loop_samples, args.seconds);
+    let mean_ms = stats::mean(
+        &loop_samples
+            .iter()
+            .filter(|s| s.0 >= 0.0 && s.0 < args.seconds as f64)
+            .map(|s| s.1)
+            .collect::<Vec<_>>(),
+    );
 
     println!(
         "ladderbench {} seed={seed} seconds={} trace={}",
@@ -596,12 +607,11 @@ fn run(args: &Args) -> Result<bool, String> {
         "closed loop: {CONNS} keep-alive connections through snc-router → {BACKENDS} snc-server --threads 1; {sent} requests in {wall_s:.2}s"
     );
     println!(
-        "throughput and p50 are medians over {} one-second windows; latency_p99_ms is the median p99 of {} block(s) of at least {} samples ({} beyond the p99 in the smallest){}",
+        "timed {} s after a {LEAD_IN_S}-s lead-in: throughput, p50 and p99 over the whole timed run; the percentiles rest on {} samples ({} beyond the p99){}",
         args.seconds,
-        figures.p99_blocks,
-        figures.p99_block_min,
-        stats::samples_beyond(figures.p99_block_min, 0.99),
-        if figures.p99_block_min < stats::TAIL_BLOCK { " — fewer than 10 beyond: lengthen --seconds" } else { "" }
+        figures.samples,
+        stats::samples_beyond(figures.samples, 0.99),
+        if stats::samples_beyond(figures.samples, 0.99) < 10 { " — fewer than 10 beyond: lengthen --seconds" } else { "" }
     );
     println!(
         "accounting: routed {} (+{} failed, {} retries), served {}, per backend {:?}",

@@ -49,85 +49,46 @@ pub fn mean(values: &[f64]) -> f64 {
     }
 }
 
-/// Samples a tail block must hold so that at least ten lie beyond its
-/// p99.
-pub const TAIL_BLOCK: usize = 1000;
-
-/// A loop's figures as medians over its one-second windows, so that a
-/// few seconds of noise from other tenants of the machine move a run's
-/// figure less than a pooled statistic would.
+/// A loop's figures over its timed seconds.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Windowed {
-    /// Median over windows of the 200s completed in the window, each
-    /// request counted by the share of its lifetime inside the window
-    /// (so a window's count is not rounded to whole requests).
+pub struct Figures {
+    /// 200s completed per second of the timed run, each request counted
+    /// by the share of its lifetime inside it (so the count is not
+    /// rounded to whole requests at either end).
     pub throughput_rps: f64,
-    /// Median over windows of the window's median latency, ms.
+    /// Nearest-rank median latency of every sample completing in the
+    /// timed seconds, ms.
     pub p50_ms: f64,
-    /// Median over tail blocks of the block's p99 latency, ms. A block
-    /// is a run of consecutive windows holding at least [`TAIL_BLOCK`]
-    /// samples (one block when the whole loop holds fewer).
+    /// Nearest-rank p99 latency of the same samples, ms.
     pub p99_ms: f64,
-    /// Tail blocks the p99 is a median over.
-    pub p99_blocks: usize,
-    /// The fewest samples in any tail block.
-    pub p99_block_min: usize,
+    /// The samples both percentiles rest on.
+    pub samples: usize,
 }
 
-/// Computes [`Windowed`] from `(completed_s, latency_ms, ok)` samples
-/// over the full windows `[k, k + 1)` for `k < seconds`; samples
-/// completing after the last full window are left out.
-pub fn windowed(samples: &[(f64, f64, bool)], seconds: u64) -> Windowed {
-    let mut windows: Vec<Vec<(f64, bool)>> = vec![Vec::new(); seconds as usize];
-    let mut throughput = vec![0.0; seconds as usize];
+/// Computes [`Figures`] from `(completed_s, latency_ms, ok)` samples
+/// over the timed seconds `[0, seconds)`: samples completing before 0
+/// (the untimed lead-in) or at or after `seconds` are left out of the
+/// latencies.
+pub fn figures(samples: &[(f64, f64, bool)], seconds: u64) -> Figures {
+    let timed = seconds as f64;
+    let mut completed_200s = 0.0;
+    let mut latencies = Vec::with_capacity(samples.len());
     for &(completed, latency, ok) in samples {
-        if completed >= 0.0 && (completed as usize) < windows.len() {
-            windows[completed as usize].push((latency, ok));
+        if (0.0..timed).contains(&completed) {
+            latencies.push(latency);
         }
         let (start, end) = (completed - latency / 1e3, completed);
-        if !ok || end <= start {
-            continue;
-        }
-        for (w, count) in throughput.iter_mut().enumerate() {
-            let overlap = end.min(w as f64 + 1.0) - start.max(w as f64);
-            if overlap > 0.0 {
-                *count += overlap / (end - start);
-            }
+        let inside = end.min(timed) - start.max(0.0);
+        if ok && end > start && inside > 0.0 {
+            completed_200s += inside / (end - start);
         }
     }
-    let p50s: Vec<f64> = windows
-        .iter()
-        .filter(|w| !w.is_empty())
-        .map(|w| median(&w.iter().map(|s| s.0).collect::<Vec<_>>()))
-        .collect();
-    let mut blocks: Vec<Vec<f64>> = vec![Vec::new()];
-    for window in &windows {
-        if blocks.last().is_some_and(|b| b.len() >= TAIL_BLOCK) {
-            blocks.push(Vec::new());
-        }
-        blocks
-            .last_mut()
-            .expect("one block")
-            .extend(window.iter().map(|s| s.0));
-    }
-    if blocks.len() > 1 && blocks.last().is_some_and(|b| b.len() < TAIL_BLOCK) {
-        let short = blocks.pop().expect("checked");
-        blocks.last_mut().expect("checked").extend(short);
-    }
-    let p99s: Vec<f64> = blocks
-        .iter_mut()
-        .filter(|b| !b.is_empty())
-        .map(|b| {
-            b.sort_by(f64::total_cmp);
-            percentile(b, 0.99).expect("non-empty")
-        })
-        .collect();
-    Windowed {
-        throughput_rps: median(&throughput),
-        p50_ms: median(&p50s),
-        p99_ms: median(&p99s),
-        p99_blocks: p99s.len(),
-        p99_block_min: blocks.iter().map(Vec::len).min().unwrap_or(0),
+    latencies.sort_by(f64::total_cmp);
+    Figures {
+        throughput_rps: completed_200s / timed,
+        p50_ms: percentile(&latencies, 0.5).unwrap_or(0.0),
+        p99_ms: percentile(&latencies, 0.99).unwrap_or(0.0),
+        samples: latencies.len(),
     }
 }
 
@@ -136,13 +97,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn windowed_figures_by_hand() {
-        // Three one-second windows: 2, 3 and 1 completions; the sample at
-        // 3.2 s lies past the last full window and is left out of the
-        // latency figures. Latencies are small, so each request falls in
-        // one window, except the one completing at 2.4 s after 1000 ms:
-        // 60% of it lies in window 1 and 40% in window 2.
+    fn figures_by_hand() {
+        // Three timed seconds. The sample at 3.2 s lies past them and the
+        // one at -0.5 s in the lead-in, so both are left out of the
+        // latencies; the 200 completing at 2.4 s after 1000 ms lies wholly
+        // inside. Five 200s inside over 3 s; the failed request at 1.5 s
+        // counts toward latency but not throughput.
         let samples = [
+            (-0.5, 1.0, true),
             (0.1, 10.0, true),
             (0.9, 30.0, true),
             (1.2, 5.0, true),
@@ -151,37 +113,43 @@ mod tests {
             (2.4, 1000.0, true),
             (3.2, 99.0, true),
         ];
-        let w = windowed(&samples, 3);
-        // 200s per window: 2, 2 + 0.6, 0.4 → median 2.
-        assert_eq!(w.throughput_rps, 2.0);
-        let w4 = windowed(&samples[..6], 4);
-        // Windows 2.6, 2, 0.4, 0 → median (2 + 0.4) / 2.
-        assert!((w4.throughput_rps - 1.2).abs() < 1e-12, "{w4:?}");
-        // Window medians 20, 7, 1000 → median 20.
-        assert_eq!(w.p50_ms, 20.0);
-        // Fewer than TAIL_BLOCK samples: one block of all six; the
-        // nearest-rank p99 of six samples is the largest.
-        assert_eq!((w.p99_ms, w.p99_blocks, w.p99_block_min), (1000.0, 1, 6));
+        let f = figures(&samples, 3);
+        assert!((f.throughput_rps - 5.0 / 3.0).abs() < 1e-12, "{f:?}");
+        // Six timed latencies 5, 7, 9, 10, 30, 1000: the nearest-rank
+        // median is the 3rd, and the p99 of six samples the largest.
+        assert_eq!((f.p50_ms, f.p99_ms, f.samples), (9.0, 1000.0, 6));
+        // Cut at 2 s, the 1000-ms request completing at 2.4 s lies 60%
+        // inside: 4.6 requests over 2 s. The 3.2-s one lies wholly past.
+        let f2 = figures(&samples, 2);
+        assert!((f2.throughput_rps - 2.3).abs() < 1e-12, "{f2:?}");
+        assert_eq!(f2.samples, 5);
+        // A request straddling the lead-in's end counts by the share of
+        // its lifetime after 0 toward throughput, and wholly toward latency.
+        let straddle = figures(&[(0.5, 1000.0, true)], 1);
+        assert_eq!((straddle.throughput_rps, straddle.samples), (0.5, 1));
+        let lead_in_only = figures(&[(-0.1, 10.0, true)], 1);
+        assert_eq!(
+            (
+                lead_in_only.throughput_rps,
+                lead_in_only.p50_ms,
+                lead_in_only.samples
+            ),
+            (0.0, 0.0, 0)
+        );
     }
 
     #[test]
-    fn tail_blocks_hold_at_least_a_thousand_samples() {
-        // 2500 samples per window for 3 windows: blocks of one window
-        // each; latencies 1..=2500 ms in every window.
+    fn pooled_percentiles_rest_on_every_timed_sample() {
+        // 2500 samples per window for 3 windows, latencies 1..=2500 ms in
+        // every window: the pooled figures are those of one window.
         let samples: Vec<(f64, f64, bool)> = (0..3)
             .flat_map(|w| (1..=2500).map(move |i| (w as f64 + 0.5, f64::from(i), true)))
             .collect();
-        let w = windowed(&samples, 3);
-        assert_eq!((w.p99_blocks, w.p99_block_min), (3, 2500));
-        // ceil(0.99 · 2500) = 2475.
-        assert_eq!(w.p99_ms, 2475.0);
-        // 600 samples per window: blocks of two windows, the odd third
-        // window folded into the last block.
-        let samples: Vec<(f64, f64, bool)> = (0..5)
-            .flat_map(|w| (0..600).map(move |i| (w as f64 + 0.5, f64::from(i), true)))
-            .collect();
-        let w = windowed(&samples, 5);
-        assert_eq!((w.p99_blocks, w.p99_block_min), (2, 1200));
+        let w = figures(&samples, 3);
+        // ceil(0.5 · 7500) = 3750 → the 1250th value of each window;
+        // ceil(0.99 · 7500) = 7425 → the 2475th.
+        assert_eq!((w.p50_ms, w.p99_ms, w.samples), (1250.0, 2475.0, 7500));
+        assert_eq!(samples_beyond(w.samples, 0.99), 75);
     }
 
     #[test]

@@ -25,7 +25,8 @@ pub const STREAMS: u64 = 4;
 /// Distinct budgets available to `cold-sampling`'s LIF-GW requests per
 /// graph before one would repeat (and hit the response cache): 1024
 /// budgets over 4 streams last 256 cycles, or 2560 requests per stream,
-/// well past a 45-s run even at 65 requests/s.
+/// more than a 50-s run and its 3-s lead-in send per connection even
+/// at 90 requests/s (about 2400).
 const BUDGET_SPAN: u64 = 1024;
 /// Requests per stream the generator is checked to never repeat within.
 #[cfg(test)]
