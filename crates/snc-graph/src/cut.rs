@@ -4,9 +4,124 @@
 //! exactly as in the paper's integer program (§II.A). The cut value of an
 //! unweighted graph is the number of edges whose endpoints carry opposite
 //! labels.
+//!
+//! [`CutGraph`] is what the solve path asks of a graph. It is implemented by
+//! [`Graph`] (exact `u64` edge counts) and by
+//! [`WeightedGraph`](crate::WeightedGraph) (`f64` weight sums), so trackers,
+//! traces and circuits are written once for both.
 
 use crate::csr::Graph;
 use snc_devices::Rng64;
+
+/// A cut value: an exact edge count (`u64`) or a weight sum (`f64`).
+pub trait CutValue: Copy + Default + PartialOrd + std::fmt::Debug + Send + Sync + 'static {
+    /// Below every cut value, so a best-so-far fold can start from it:
+    /// `0` for counts, `−∞` for weight sums (signed weights can make
+    /// every cut negative).
+    const FLOOR: Self;
+
+    /// The larger of two values (`f64::max` for weight sums).
+    fn larger(self, other: Self) -> Self;
+}
+
+impl CutValue for u64 {
+    const FLOOR: u64 = 0;
+
+    fn larger(self, other: u64) -> u64 {
+        self.max(other)
+    }
+}
+
+impl CutValue for f64 {
+    const FLOOR: f64 = f64::NEG_INFINITY;
+
+    fn larger(self, other: f64) -> f64 {
+        self.max(other)
+    }
+}
+
+/// A graph MAXCUT runs on. Everything the solvers do differently for
+/// unweighted and weighted graphs lives in the two implementations: the
+/// value type and its arithmetic, edge weights (1 on [`Graph`]), and the
+/// sign check that gates the spectral operators.
+pub trait CutGraph {
+    /// The type of a cut value.
+    type Value: CutValue;
+
+    /// Flips an incremental tracker applies before re-evaluating its
+    /// value from scratch, bounding floating-point drift (`u64::MAX` when
+    /// the arithmetic is exact).
+    const RESYNC_INTERVAL: u64;
+
+    /// Number of vertices.
+    fn n(&self) -> usize;
+
+    /// Number of edges.
+    fn m(&self) -> usize;
+
+    /// The value of a cut, evaluated from scratch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the assignment length differs from `n()`.
+    fn cut_value(&self, cut: &CutAssignment) -> Self::Value;
+
+    /// The value `value` of `cut` becomes once vertex `i` flips, in
+    /// O(deg i).
+    fn flipped_value(&self, cut: &CutAssignment, i: usize, value: Self::Value) -> Self::Value;
+
+    /// The sorted neighbours of vertex `i` with their edge weights.
+    fn weighted_neighbors(&self, i: usize) -> impl Iterator<Item = (u32, f64)> + '_;
+
+    /// The weighted degree `Σ_j w_ij` of vertex `i`.
+    fn weighted_degree(&self, i: usize) -> f64;
+
+    /// Every edge once as `(u, v, w)` with `u < v`.
+    fn weighted_edges(&self) -> impl Iterator<Item = (u32, u32, f64)> + '_;
+
+    /// Whether no edge weight is negative (the spectral operators and
+    /// the LIF-Trevisan circuit need this).
+    fn is_nonnegative(&self) -> bool;
+}
+
+impl CutGraph for Graph {
+    type Value = u64;
+
+    const RESYNC_INTERVAL: u64 = u64::MAX;
+
+    fn n(&self) -> usize {
+        Graph::n(self)
+    }
+
+    fn m(&self) -> usize {
+        Graph::m(self)
+    }
+
+    fn cut_value(&self, cut: &CutAssignment) -> u64 {
+        cut.cut_value(self)
+    }
+
+    #[inline]
+    fn flipped_value(&self, cut: &CutAssignment, i: usize, value: u64) -> u64 {
+        (value as i64 + cut.flip_delta(self, i)) as u64
+    }
+
+    fn weighted_neighbors(&self, i: usize) -> impl Iterator<Item = (u32, f64)> + '_ {
+        self.neighbors(i).iter().map(|&j| (j, 1.0))
+    }
+
+    fn weighted_degree(&self, i: usize) -> f64 {
+        self.degree(i) as f64
+    }
+
+    fn weighted_edges(&self) -> impl Iterator<Item = (u32, u32, f64)> + '_ {
+        self.edges().map(|(u, v)| (u, v, 1.0))
+    }
+
+    fn is_nonnegative(&self) -> bool {
+        true
+    }
+}
 
 /// A two-coloring of the vertices; `+1` and `−1` are the two sides.
 #[derive(Clone, Debug, PartialEq, Eq)]

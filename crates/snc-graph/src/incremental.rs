@@ -5,28 +5,25 @@
 //! slowly-evolving weight vector, local search, annealing — pay far less by
 //! *maintaining* the value: flipping vertex `i` changes the cut by
 //! `flip_delta(i) = (same-side neighbor weight) − (cross-side neighbor
-//! weight)`, an O(deg i) update. [`CutTracker`] (unweighted, exact integer
-//! arithmetic) and [`WeightedCutTracker`] (weighted, `f64`) package that
-//! bookkeeping behind a "set the assignment to this target" API, diffing
-//! against the previous assignment and applying one flip per changed
-//! vertex.
+//! weight)`, an O(deg i) update. [`CutTracker`] packages that bookkeeping
+//! behind a "set the assignment to this target" API for any [`CutGraph`],
+//! diffing against the previous assignment and applying one flip per
+//! changed vertex.
 //!
-//! Because a cut and its complement have equal value, the trackers flip
+//! Because a cut and its complement have equal value, the tracker flips
 //! whichever side of the diff is smaller; the tracked assignment therefore
 //! equals the target *up to global complementation* (see
 //! [`CutTracker::assignment`]).
 
 use crate::csr::Graph;
-use crate::cut::CutAssignment;
-use crate::weighted::WeightedGraph;
+use crate::cut::{CutAssignment, CutGraph};
 
-/// The complement-aware diff walk shared by both trackers: counts the
-/// vertices whose side differs from `target_side`, then flips whichever
-/// of the differing/agreeing sets is smaller through `apply_flip`,
-/// leaving `assignment` equal to the target or its complement (equal cut
-/// value either way). `target_side` must not depend on `assignment` —
-/// flipping vertex `j` never changes whether vertex `i ≠ j` differs, so
-/// the walk is order-independent.
+/// The complement-aware diff walk: counts the vertices whose side differs
+/// from `target_side`, then flips whichever of the differing/agreeing sets
+/// is smaller through `apply_flip`, leaving `assignment` equal to the
+/// target or its complement (equal cut value either way). `target_side`
+/// must not depend on `assignment` — flipping vertex `j` never changes
+/// whether vertex `i ≠ j` differs, so the walk is order-independent.
 fn flip_smaller_side(
     assignment: &mut CutAssignment,
     target_side: impl Fn(usize) -> i8,
@@ -44,12 +41,16 @@ fn flip_smaller_side(
     }
 }
 
-/// Maintains the cut value of an evolving assignment on an unweighted
-/// graph with exact integer updates.
+/// Maintains the cut value of an evolving assignment.
 ///
-/// Every update path — single flips or whole-assignment diffs — produces
+/// On an unweighted [`Graph`] the updates are exact integer arithmetic:
+/// every update path — single flips or whole-assignment diffs — produces
 /// exactly the value [`CutAssignment::cut_value`] would compute from
-/// scratch; the arithmetic is integer, so there is no drift.
+/// scratch. On a weighted graph the updates accumulate in `f64`, so the
+/// maintained value can drift from the scratch evaluation by rounding of
+/// order `ε · Σ|w| · flips`; the tracker re-evaluates from scratch every
+/// [`CutGraph::RESYNC_INTERVAL`] flips to keep the drift bounded, and
+/// [`CutTracker::recompute`] gives an exact value on demand.
 ///
 /// # Examples
 ///
@@ -73,29 +74,31 @@ fn flip_smaller_side(
 /// assert_eq!(tracker.value(), next.cut_value(&g));
 /// ```
 #[derive(Clone, Debug)]
-pub struct CutTracker<'g> {
-    graph: &'g Graph,
+pub struct CutTracker<'g, G: CutGraph = Graph> {
+    graph: &'g G,
     assignment: CutAssignment,
-    value: u64,
+    value: G::Value,
+    flips_since_resync: u64,
 }
 
-impl<'g> CutTracker<'g> {
+impl<'g, G: CutGraph> CutTracker<'g, G> {
     /// Starts tracking `assignment`, computing its value once from scratch.
     ///
     /// # Panics
     ///
     /// Panics if the assignment length differs from `graph.n()`.
-    pub fn new(graph: &'g Graph, assignment: CutAssignment) -> Self {
-        let value = assignment.cut_value(graph);
+    pub fn new(graph: &'g G, assignment: CutAssignment) -> Self {
+        let value = graph.cut_value(&assignment);
         Self {
             graph,
             assignment,
             value,
+            flips_since_resync: 0,
         }
     }
 
-    /// The current cut value.
-    pub fn value(&self) -> u64 {
+    /// The current (maintained) cut value.
+    pub fn value(&self) -> G::Value {
         self.value
     }
 
@@ -109,18 +112,59 @@ impl<'g> CutTracker<'g> {
         &self.assignment
     }
 
-    /// Flips vertex `i`, updating the value in O(deg i). Returns the new
-    /// value.
-    #[inline]
-    pub fn flip(&mut self, i: usize) -> u64 {
-        Self::apply_flip(self.graph, &mut self.assignment, &mut self.value, i);
+    /// Recomputes the value from scratch (exact; resets drift).
+    ///
+    /// # Examples
+    ///
+    /// On a weighted graph the maintained value is an `f64` weight sum.
+    ///
+    /// ```
+    /// use snc_graph::{CutAssignment, CutTracker, WeightedGraph};
+    ///
+    /// let g = WeightedGraph::from_weighted_edges(
+    ///     3, &[(0, 1, 2.5), (1, 2, 4.0)]).unwrap();
+    /// let mut tracker = CutTracker::new(
+    ///     &g, CutAssignment::from_sides(vec![1, -1, -1]));
+    /// assert_eq!(tracker.value(), 2.5);
+    /// tracker.flip(2); // sides [1, -1, 1]: both edges cross
+    /// assert_eq!(tracker.value(), 6.5);
+    /// assert_eq!(tracker.recompute(), 6.5);
+    /// ```
+    pub fn recompute(&mut self) -> G::Value {
+        self.value = self.graph.cut_value(&self.assignment);
+        self.flips_since_resync = 0;
         self.value
     }
 
-    fn apply_flip(graph: &Graph, assignment: &mut CutAssignment, value: &mut u64, i: usize) {
-        let delta = assignment.flip_delta(graph, i);
+    /// Flips vertex `i`, updating the value in O(deg i). Returns the new
+    /// value.
+    #[inline]
+    pub fn flip(&mut self, i: usize) -> G::Value {
+        Self::apply_flip(
+            self.graph,
+            &mut self.assignment,
+            &mut self.value,
+            &mut self.flips_since_resync,
+            i,
+        );
+        self.value
+    }
+
+    #[inline]
+    fn apply_flip(
+        graph: &G,
+        assignment: &mut CutAssignment,
+        value: &mut G::Value,
+        flips_since_resync: &mut u64,
+        i: usize,
+    ) {
+        *value = graph.flipped_value(assignment, i, *value);
         assignment.flip(i);
-        *value = (*value as i64 + delta) as u64;
+        *flips_since_resync += 1;
+        if *flips_since_resync >= G::RESYNC_INTERVAL {
+            *value = graph.cut_value(assignment);
+            *flips_since_resync = 0;
+        }
     }
 
     /// Moves the tracked assignment to `target` (up to complementation)
@@ -133,8 +177,12 @@ impl<'g> CutTracker<'g> {
     /// # Panics
     ///
     /// Panics if `target.len() != graph.n()`.
-    pub fn set_to(&mut self, target: &CutAssignment) -> u64 {
-        assert_eq!(target.len(), self.graph.n(), "assignment/graph size mismatch");
+    pub fn set_to(&mut self, target: &CutAssignment) -> G::Value {
+        assert_eq!(
+            target.len(),
+            self.graph.n(),
+            "assignment/graph size mismatch"
+        );
         self.advance(|i| target.side(i))
     }
 
@@ -145,137 +193,23 @@ impl<'g> CutTracker<'g> {
     /// # Panics
     ///
     /// Panics if `spiked.len() != graph.n()`.
-    pub fn set_from_spikes(&mut self, spiked: &[bool]) -> u64 {
-        assert_eq!(spiked.len(), self.graph.n(), "assignment/graph size mismatch");
+    pub fn set_from_spikes(&mut self, spiked: &[bool]) -> G::Value {
+        assert_eq!(
+            spiked.len(),
+            self.graph.n(),
+            "assignment/graph size mismatch"
+        );
         self.advance(|i| if spiked[i] { 1 } else { -1 })
     }
 
-    fn advance(&mut self, target_side: impl Fn(usize) -> i8) -> u64 {
+    fn advance(&mut self, target_side: impl Fn(usize) -> i8) -> G::Value {
         let CutTracker {
-            graph,
-            assignment,
-            value,
-        } = self;
-        flip_smaller_side(assignment, target_side, |a, i| {
-            Self::apply_flip(graph, a, value, i);
-        });
-        self.value
-    }
-}
-
-/// Maintains the weighted cut value of an evolving assignment.
-///
-/// Updates accumulate in `f64`, so unlike [`CutTracker`] the maintained
-/// value can drift from the scratch evaluation by floating-point rounding
-/// of order `ε · Σ|w| · flips`. The tracker resynchronizes from scratch
-/// every [`WeightedCutTracker::RESYNC_INTERVAL`] flips to keep the drift
-/// bounded; call [`WeightedCutTracker::recompute`] for an exact value on
-/// demand.
-///
-/// # Examples
-///
-/// ```
-/// use snc_graph::{CutAssignment, WeightedCutTracker, WeightedGraph};
-///
-/// let g = WeightedGraph::from_weighted_edges(
-///     3, &[(0, 1, 2.5), (1, 2, 4.0)]).unwrap();
-/// let mut tracker = WeightedCutTracker::new(
-///     &g, CutAssignment::from_sides(vec![1, -1, -1]));
-/// assert_eq!(tracker.value(), 2.5);
-/// tracker.flip(2); // vertex 2 joins +1... sides [1,-1,1]: both edges cross
-/// assert_eq!(tracker.value(), 6.5);
-/// ```
-#[derive(Clone, Debug)]
-pub struct WeightedCutTracker<'g> {
-    graph: &'g WeightedGraph,
-    assignment: CutAssignment,
-    value: f64,
-    flips_since_resync: u64,
-}
-
-impl<'g> WeightedCutTracker<'g> {
-    /// Flips between scratch resynchronizations of the maintained value.
-    pub const RESYNC_INTERVAL: u64 = 4096;
-
-    /// Starts tracking `assignment`, computing its value once from scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the assignment length differs from `graph.n()`.
-    pub fn new(graph: &'g WeightedGraph, assignment: CutAssignment) -> Self {
-        let value = graph.cut_value(&assignment);
-        Self {
-            graph,
-            assignment,
-            value,
-            flips_since_resync: 0,
-        }
-    }
-
-    /// The current (maintained) weighted cut value.
-    pub fn value(&self) -> f64 {
-        self.value
-    }
-
-    /// The tracked assignment (up to global complementation after
-    /// [`WeightedCutTracker::set_to`]).
-    pub fn assignment(&self) -> &CutAssignment {
-        &self.assignment
-    }
-
-    /// Recomputes the value from scratch (exact; resets drift).
-    pub fn recompute(&mut self) -> f64 {
-        self.value = self.graph.cut_value(&self.assignment);
-        self.flips_since_resync = 0;
-        self.value
-    }
-
-    /// Flips vertex `i`, updating the value in O(deg i). Returns the new
-    /// value.
-    #[inline]
-    pub fn flip(&mut self, i: usize) -> f64 {
-        Self::apply_flip(
-            self.graph,
-            &mut self.assignment,
-            &mut self.value,
-            &mut self.flips_since_resync,
-            i,
-        );
-        self.value
-    }
-
-    fn apply_flip(
-        graph: &WeightedGraph,
-        assignment: &mut CutAssignment,
-        value: &mut f64,
-        flips_since_resync: &mut u64,
-        i: usize,
-    ) {
-        let delta = graph.flip_delta(assignment, i);
-        assignment.flip(i);
-        *value += delta;
-        *flips_since_resync += 1;
-        if *flips_since_resync >= Self::RESYNC_INTERVAL {
-            *value = graph.cut_value(assignment);
-            *flips_since_resync = 0;
-        }
-    }
-
-    /// Moves the tracked assignment to `target` (up to complementation)
-    /// and returns its weighted cut value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target.len() != graph.n()`.
-    pub fn set_to(&mut self, target: &CutAssignment) -> f64 {
-        assert_eq!(target.len(), self.graph.n(), "assignment/graph size mismatch");
-        let WeightedCutTracker {
             graph,
             assignment,
             value,
             flips_since_resync,
         } = self;
-        flip_smaller_side(assignment, |i| target.side(i), |a, i| {
+        flip_smaller_side(assignment, target_side, |a, i| {
             Self::apply_flip(graph, a, value, flips_since_resync, i);
         });
         self.value
@@ -286,6 +220,7 @@ impl<'g> WeightedCutTracker<'g> {
 mod tests {
     use super::*;
     use crate::generators::structured::{complete, cycle};
+    use crate::WeightedGraph;
     use snc_devices::{Rng64, Xoshiro256pp};
 
     #[test]
@@ -350,7 +285,7 @@ mod tests {
         )
         .unwrap();
         let mut rng = Xoshiro256pp::new(5);
-        let mut tracker = WeightedCutTracker::new(&g, CutAssignment::random(5, &mut rng));
+        let mut tracker = CutTracker::new(&g, CutAssignment::random(5, &mut rng));
         for _ in 0..300 {
             let i = rng.next_index(5);
             let v = tracker.flip(i);
@@ -371,7 +306,7 @@ mod tests {
         )
         .unwrap();
         let mut rng = Xoshiro256pp::new(23);
-        let mut tracker = WeightedCutTracker::new(&g, CutAssignment::random(8, &mut rng));
+        let mut tracker = CutTracker::new(&g, CutAssignment::random(8, &mut rng));
         for _ in 0..100 {
             let target = CutAssignment::random(8, &mut rng);
             let v = tracker.set_to(&target);

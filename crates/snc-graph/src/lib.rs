@@ -40,9 +40,9 @@ pub mod stats;
 pub mod weighted;
 
 pub use csr::{Graph, NormalizedAdjacency, TrevisanOperator};
-pub use cut::CutAssignment;
+pub use cut::{CutAssignment, CutGraph, CutValue};
 pub use datasets::EmpiricalDataset;
 pub use fingerprint::GraphFingerprint;
-pub use incremental::{CutTracker, WeightedCutTracker};
+pub use incremental::CutTracker;
 pub use error::GraphError;
 pub use weighted::{WeightedGraph, WeightedTrevisanOperator};

@@ -9,7 +9,7 @@
 //! stack (SDP, Trevisan, both circuits) runs on weighted instances.
 
 use crate::csr::Graph;
-use crate::cut::CutAssignment;
+use crate::cut::{CutAssignment, CutGraph};
 use crate::error::GraphError;
 use snc_devices::{Rng64, Xoshiro256pp};
 use snc_linalg::LinOp;
@@ -187,7 +187,7 @@ impl WeightedGraph {
     ///
     /// The weighted analogue of [`Graph`]-based
     /// [`CutAssignment::flip_delta`], and the update rule behind
-    /// [`crate::WeightedCutTracker`].
+    /// [`crate::CutTracker`] on weighted graphs.
     ///
     /// # Panics
     ///
@@ -210,6 +210,48 @@ impl WeightedGraph {
     pub fn to_unweighted(&self) -> Graph {
         let edges: Vec<(u32, u32)> = self.edges().map(|(u, v, _)| (u, v)).collect();
         Graph::from_edges(self.n, &edges).expect("valid by construction")
+    }
+}
+
+impl CutGraph for WeightedGraph {
+    type Value = f64;
+
+    /// `f64` updates drift by rounding of order `ε·Σ|w|` per flip.
+    const RESYNC_INTERVAL: u64 = 4096;
+
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    fn m(&self) -> usize {
+        WeightedGraph::m(self)
+    }
+
+    fn cut_value(&self, cut: &CutAssignment) -> f64 {
+        WeightedGraph::cut_value(self, cut)
+    }
+
+    fn flipped_value(&self, cut: &CutAssignment, i: usize, value: f64) -> f64 {
+        value + self.flip_delta(cut, i)
+    }
+
+    fn weighted_neighbors(&self, i: usize) -> impl Iterator<Item = (u32, f64)> + '_ {
+        self.neighbors(i)
+            .iter()
+            .copied()
+            .zip(self.neighbor_weights(i).iter().copied())
+    }
+
+    fn weighted_degree(&self, i: usize) -> f64 {
+        WeightedGraph::weighted_degree(self, i)
+    }
+
+    fn weighted_edges(&self) -> impl Iterator<Item = (u32, u32, f64)> + '_ {
+        self.edges()
+    }
+
+    fn is_nonnegative(&self) -> bool {
+        WeightedGraph::is_nonnegative(self)
     }
 }
 

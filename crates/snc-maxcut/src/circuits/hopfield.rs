@@ -12,7 +12,7 @@
 //! noise).
 
 use crate::sampling::CutSampler;
-use snc_graph::{CutAssignment, Graph, WeightedGraph};
+use snc_graph::{CutAssignment, CutGraph};
 use snc_neuro::hopfield::{HopfieldNetwork, HopfieldParams};
 
 /// Configuration of the Hopfield circuit family.
@@ -41,30 +41,14 @@ pub struct HopfieldCircuit {
 }
 
 impl HopfieldCircuit {
-    /// Builds the circuit on an unweighted graph (unit couplings on
-    /// every edge).
-    pub fn new(graph: &Graph, seed: u64, cfg: &HopfieldConfig) -> Self {
-        let couplings: Vec<(u32, u32, f64)> =
-            graph.edges().map(|(u, v)| (u, v, 1.0)).collect();
-        Self::from_couplings(graph.n(), &couplings, seed, cfg)
-    }
-
-    /// Builds the circuit on a weighted graph. Negative edge weights
-    /// become ferromagnetic couplings (the endpoints prefer the same
-    /// side), matching the weighted cut objective.
-    pub fn new_weighted(graph: &WeightedGraph, seed: u64, cfg: &HopfieldConfig) -> Self {
-        let couplings: Vec<(u32, u32, f64)> = graph.edges().collect();
-        Self::from_couplings(graph.n(), &couplings, seed, cfg)
-    }
-
-    fn from_couplings(
-        n: usize,
-        couplings: &[(u32, u32, f64)],
-        seed: u64,
-        cfg: &HopfieldConfig,
-    ) -> Self {
+    /// Builds the circuit with one coupling per edge, of the edge's
+    /// weight (unit on an unweighted graph). Negative edge weights become
+    /// ferromagnetic couplings (the endpoints prefer the same side),
+    /// matching the weighted cut objective.
+    pub fn new<G: CutGraph>(graph: &G, seed: u64, cfg: &HopfieldConfig) -> Self {
+        let couplings: Vec<(u32, u32, f64)> = graph.weighted_edges().collect();
         Self {
-            net: HopfieldNetwork::new(n, couplings, cfg.params, seed),
+            net: HopfieldNetwork::new(graph.n(), &couplings, cfg.params, seed),
             steps_per_sample: cfg.steps_per_sample.max(1),
         }
     }
@@ -104,32 +88,17 @@ pub struct BatchedHopfieldCircuit {
 }
 
 impl BatchedHopfieldCircuit {
-    /// Builds one relaxation per seed on an unweighted graph.
+    /// Builds one relaxation per seed.
     ///
     /// # Panics
     ///
     /// Panics if `seeds` is empty.
-    pub fn new(graph: &Graph, seeds: &[u64], cfg: &HopfieldConfig) -> Self {
+    pub fn new<G: CutGraph>(graph: &G, seeds: &[u64], cfg: &HopfieldConfig) -> Self {
         assert!(!seeds.is_empty(), "at least one replica seed");
         Self {
             circuits: seeds
                 .iter()
                 .map(|&s| HopfieldCircuit::new(graph, s, cfg))
-                .collect(),
-        }
-    }
-
-    /// Builds one relaxation per seed on a weighted graph.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seeds` is empty.
-    pub fn new_weighted(graph: &WeightedGraph, seeds: &[u64], cfg: &HopfieldConfig) -> Self {
-        assert!(!seeds.is_empty(), "at least one replica seed");
-        Self {
-            circuits: seeds
-                .iter()
-                .map(|&s| HopfieldCircuit::new_weighted(graph, s, cfg))
                 .collect(),
         }
     }
@@ -158,6 +127,7 @@ mod tests {
     use crate::sampling::{log2_checkpoints, sample_best_trace};
     use snc_graph::generators::erdos_renyi::gnp;
     use snc_graph::generators::structured::complete_bipartite;
+    use snc_graph::WeightedGraph;
 
     #[test]
     fn finds_the_bipartite_cut() {
@@ -228,7 +198,7 @@ mod tests {
             &[(0, 1, -4.0), (1, 2, 1.0), (0, 2, 1.0)],
         )
         .unwrap();
-        let mut circuit = HopfieldCircuit::new_weighted(&g, 1, &HopfieldConfig::default());
+        let mut circuit = HopfieldCircuit::new(&g, 1, &HopfieldConfig::default());
         let mut last = None;
         for _ in 0..40 {
             last = Some(circuit.next_cut());

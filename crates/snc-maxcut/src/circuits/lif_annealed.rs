@@ -34,7 +34,7 @@ use crate::anneal::CoolingSchedule;
 use crate::circuits::lif_gw::LifGwConfig;
 use crate::sampling::CutSampler;
 use snc_devices::{DevicePool, PoolSpec};
-use snc_graph::{CutAssignment, Graph, WeightedGraph};
+use snc_graph::{CutAssignment, CutGraph};
 use snc_linalg::DMatrix;
 use snc_neuro::{DenseWeights, DeviceDrivenNetwork, ReplicaBatch};
 
@@ -72,8 +72,9 @@ struct FeedbackField {
 }
 
 impl FeedbackField {
-    fn from_pairs(n: usize, pairs: impl Iterator<Item = (u32, u32, f64)>) -> Self {
-        let pairs: Vec<(u32, u32, f64)> = pairs.collect();
+    fn new<G: CutGraph>(graph: &G) -> Self {
+        let n = graph.n();
+        let pairs: Vec<(u32, u32, f64)> = graph.weighted_edges().collect();
         let mut degree = vec![0usize; n];
         for &(u, v, _) in &pairs {
             degree[u as usize] += 1;
@@ -115,14 +116,6 @@ impl FeedbackField {
             weights,
             inv_norm,
         }
-    }
-
-    fn from_graph(graph: &Graph) -> Self {
-        Self::from_pairs(graph.n(), graph.edges().map(|(u, v)| (u, v, 1.0)))
-    }
-
-    fn from_weighted(graph: &WeightedGraph) -> Self {
-        Self::from_pairs(graph.n(), graph.edges())
     }
 
     fn n(&self) -> usize {
@@ -215,44 +208,17 @@ pub struct LifAnnealedCircuit {
 }
 
 impl LifAnnealedCircuit {
-    /// Builds the circuit from SDP factors and the graph the feedback
-    /// field reads, with `horizon` samples of schedule (the per-replica
-    /// budget).
-    pub fn new(
+    /// Builds the circuit from SDP factors (of the weighted SDP on a
+    /// weighted graph) and the graph the feedback field reads, with
+    /// `horizon` samples of schedule (the per-replica budget).
+    pub fn new<G: CutGraph>(
         factors: &DMatrix,
-        graph: &Graph,
+        graph: &G,
         seed: u64,
         cfg: &LifAnnealedConfig,
         horizon: u64,
     ) -> Self {
-        Self::with_field(factors, FeedbackField::from_graph(graph), seed, cfg, horizon)
-    }
-
-    /// Builds the circuit on a weighted graph (weighted feedback field;
-    /// the factors come from the weighted SDP).
-    pub fn new_weighted(
-        factors: &DMatrix,
-        graph: &WeightedGraph,
-        seed: u64,
-        cfg: &LifAnnealedConfig,
-        horizon: u64,
-    ) -> Self {
-        Self::with_field(
-            factors,
-            FeedbackField::from_weighted(graph),
-            seed,
-            cfg,
-            horizon,
-        )
-    }
-
-    fn with_field(
-        factors: &DMatrix,
-        field: FeedbackField,
-        seed: u64,
-        cfg: &LifAnnealedConfig,
-        horizon: u64,
-    ) -> Self {
+        let field = FeedbackField::new(graph);
         let base = &cfg.base;
         let r = factors.cols();
         let weights = DenseWeights::from_matrix_scaled(factors, base.weight_scale);
@@ -334,49 +300,19 @@ pub struct BatchedLifAnnealedCircuit {
 }
 
 impl BatchedLifAnnealedCircuit {
-    /// Builds one replica per seed (unweighted feedback field).
+    /// Builds one replica per seed, mirroring [`LifAnnealedCircuit::new`].
     ///
     /// # Panics
     ///
     /// Panics if `seeds` is empty.
-    pub fn new(
+    pub fn new<G: CutGraph>(
         factors: &DMatrix,
-        graph: &Graph,
+        graph: &G,
         seeds: &[u64],
         cfg: &LifAnnealedConfig,
         horizon: u64,
     ) -> Self {
-        Self::with_field(factors, FeedbackField::from_graph(graph), seeds, cfg, horizon)
-    }
-
-    /// Builds one replica per seed on a weighted graph.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seeds` is empty.
-    pub fn new_weighted(
-        factors: &DMatrix,
-        graph: &WeightedGraph,
-        seeds: &[u64],
-        cfg: &LifAnnealedConfig,
-        horizon: u64,
-    ) -> Self {
-        Self::with_field(
-            factors,
-            FeedbackField::from_weighted(graph),
-            seeds,
-            cfg,
-            horizon,
-        )
-    }
-
-    fn with_field(
-        factors: &DMatrix,
-        field: FeedbackField,
-        seeds: &[u64],
-        cfg: &LifAnnealedConfig,
-        horizon: u64,
-    ) -> Self {
+        let field = FeedbackField::new(graph);
         let base = &cfg.base;
         let r = factors.cols();
         let weights = DenseWeights::from_matrix_scaled(factors, base.weight_scale);
@@ -456,6 +392,7 @@ mod tests {
     use crate::gw::{solve_gw, GwConfig};
     use snc_graph::generators::erdos_renyi::gnp;
     use snc_graph::generators::structured::complete_bipartite;
+    use snc_graph::{Graph, WeightedGraph};
 
     fn factors_for(g: &Graph) -> DMatrix {
         solve_gw(g, &GwConfig::default()).unwrap().factors
@@ -558,7 +495,7 @@ mod tests {
     #[test]
     fn weighted_field_uses_weight_magnitudes() {
         let wg = WeightedGraph::from_weighted_edges(3, &[(0, 1, 2.0), (1, 2, -1.0)]).unwrap();
-        let field = FeedbackField::from_weighted(&wg);
+        let field = FeedbackField::new(&wg);
         let prev = CutAssignment::from_sides(vec![1, 1, -1]);
         let mut h = vec![0.0; 3];
         field.compute(&prev, &mut h);

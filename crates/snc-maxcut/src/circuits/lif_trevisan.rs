@@ -16,7 +16,7 @@
 
 use crate::sampling::{BestTrace, CutSampler};
 use snc_devices::{CommonCause, DeviceModel};
-use snc_graph::{CutAssignment, Graph};
+use snc_graph::{CutAssignment, CutGraph, Graph};
 use snc_neuro::{BatchedTwoStageNetwork, TwoStageConfig, TwoStageNetwork};
 
 /// Configuration of the LIF-Trevisan circuit sampler.
@@ -51,8 +51,13 @@ pub struct LifTrevisanCircuit {
 }
 
 impl LifTrevisanCircuit {
-    /// Builds the circuit for a graph.
-    pub fn new(graph: &Graph, seed: u64, cfg: &LifTrevisanConfig) -> Self {
+    /// Builds the circuit for a graph (programmed with the weighted
+    /// Trevisan matrix on a weighted graph).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has negative weights.
+    pub fn new<G: CutGraph>(graph: &G, seed: u64, cfg: &LifTrevisanConfig) -> Self {
         let net = TwoStageNetwork::with_devices(
             graph,
             cfg.device.clone(),
@@ -130,8 +135,8 @@ impl BatchedLifTrevisanCircuit {
     ///
     /// # Panics
     ///
-    /// Panics if `seeds` is empty.
-    pub fn new(graph: &Graph, seeds: &[u64], cfg: &LifTrevisanConfig) -> Self {
+    /// Panics if `seeds` is empty or the graph has negative weights.
+    pub fn new<G: CutGraph>(graph: &G, seeds: &[u64], cfg: &LifTrevisanConfig) -> Self {
         let net = BatchedTwoStageNetwork::with_devices(
             graph,
             cfg.device.clone(),
@@ -207,7 +212,7 @@ impl BatchedLifTrevisanCircuit {
             self.net.run_updates(self.updates_per_sample);
             for (r, (tracker, value)) in trackers.iter_mut().zip(values.iter_mut()).enumerate() {
                 let cut = CutAssignment::from_signs(self.net.readout_weights(r));
-                *value = crate::sampling::tracked_value(tracker, graph, cut);
+                *value = crate::sampling::tracked_value(tracker, graph, &cut);
             }
         })
     }

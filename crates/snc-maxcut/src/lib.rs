@@ -17,8 +17,8 @@
 //!   truth on small instances.
 //! * [`anneal`] — simulated annealing, the software version of the
 //!   hardware Ising-machine baseline class the paper positions against.
-//! * [`weighted`] — the full stack on weighted graphs (two Table-I
-//!   networks are weighted).
+//! * [`weighted`] — the weighted SDP, spectral solver, and brute force
+//!   (two Table-I networks are weighted).
 //! * [`greedy`] — 1-opt local search, an additional classical baseline.
 //! * [`sampling`] — the [`CutSampler`] trait, best-so-far traces at
 //!   logarithmic checkpoints (the x-axis of Figs. 3–4), and a deterministic
@@ -64,8 +64,7 @@ pub use sampling::{
     log2_checkpoints, merge_traces, parallel_best_traces, sample_best_trace, BestTrace, CutSampler,
 };
 pub use solve::{
-    solve, solve_weighted, solve_with_cache, CircuitFamily, SolveError, SolveOutcome, SolveSpec,
-    StageTimings, WeightedSolveOutcome,
+    solve, solve_weighted, solve_with_cache, CircuitFamily, SolveError, SolveGraph, SolveOutcome,
+    SolveSpec, StageTimings,
 };
 pub use trevisan::{solve_trevisan, SpectralRounding, TrevisanConfig, TrevisanSolution};
-pub use weighted::WeightedBestTrace;

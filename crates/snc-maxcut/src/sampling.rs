@@ -7,7 +7,7 @@
 //! independent replicas across threads with deterministic per-replica
 //! seeds.
 
-use snc_graph::{CutAssignment, CutTracker, Graph};
+use snc_graph::{CutAssignment, CutGraph, CutTracker, CutValue, Graph};
 use snc_neuro::parallel::run_replicas;
 
 /// A stochastic source of cut assignments for a fixed graph.
@@ -16,21 +16,24 @@ pub trait CutSampler {
     fn next_cut(&mut self) -> CutAssignment;
 }
 
-/// Best-so-far cut values recorded at increasing sample-count checkpoints.
+/// Best-so-far cut values recorded at increasing sample-count checkpoints
+/// (`u64` edge counts, or `f64` weight sums on weighted graphs).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BestTrace {
+pub struct BestTrace<V = u64> {
     /// Sample counts at which the best value was recorded (ascending).
     pub checkpoints: Vec<u64>,
     /// Best cut value seen within the first `checkpoints[k]` samples.
-    pub best: Vec<u64>,
+    pub best: Vec<V>,
+}
+
+impl<V: CutValue> BestTrace<V> {
+    /// The final (overall best) cut value.
+    pub fn final_best(&self) -> V {
+        self.best.last().copied().unwrap_or_default()
+    }
 }
 
 impl BestTrace {
-    /// The final (overall best) cut value.
-    pub fn final_best(&self) -> u64 {
-        self.best.last().copied().unwrap_or(0)
-    }
-
     /// Best values as `f64` relative to a reference value (the paper
     /// normalizes by the software solver's best cut).
     pub fn relative_to(&self, reference: f64) -> Vec<f64> {
@@ -50,32 +53,15 @@ impl BestTrace {
 /// Folds one drawn cut into a lazily-initialized [`CutTracker`],
 /// returning the cut's value. The first call seeds the tracker (one
 /// scratch evaluation); later calls diff incrementally.
-pub(crate) fn tracked_value<'g>(
-    tracker: &mut Option<CutTracker<'g>>,
-    graph: &'g Graph,
-    cut: CutAssignment,
-) -> u64 {
+pub(crate) fn tracked_value<'g, G: CutGraph>(
+    tracker: &mut Option<CutTracker<'g, G>>,
+    graph: &'g G,
+    cut: &CutAssignment,
+) -> G::Value {
     match tracker.as_mut() {
-        Some(t) => t.set_to(&cut),
+        Some(t) => t.set_to(cut),
         None => {
-            let t = CutTracker::new(graph, cut);
-            let v = t.value();
-            *tracker = Some(t);
-            v
-        }
-    }
-}
-
-/// Weighted-graph variant of [`tracked_value`].
-pub(crate) fn tracked_value_weighted<'g>(
-    tracker: &mut Option<snc_graph::WeightedCutTracker<'g>>,
-    graph: &'g snc_graph::WeightedGraph,
-    cut: CutAssignment,
-) -> f64 {
-    match tracker.as_mut() {
-        Some(t) => t.set_to(&cut),
-        None => {
-            let t = snc_graph::WeightedCutTracker::new(graph, cut);
+            let t = CutTracker::new(graph, cut.clone());
             let v = t.value();
             *tracker = Some(t);
             v
@@ -173,35 +159,43 @@ pub fn log2_checkpoints(budget: u64) -> Vec<u64> {
 /// sample is diffed against the previous one and updated flip-by-flip, so
 /// samplers whose consecutive cuts differ in few vertices (LIF-Trevisan's
 /// slowly-learning readout, annealing) pay O(changed · degree) per sample
-/// instead of O(m). The tracker's integer arithmetic is exact, so the
-/// recorded trace is identical to evaluating every sample from scratch.
+/// instead of O(m). On an unweighted graph the tracker's integer
+/// arithmetic is exact, so the recorded trace is identical to evaluating
+/// every sample from scratch; on a weighted graph the `f64` value can
+/// differ from a scratch evaluation by rounding between the tracker's
+/// periodic resyncs ([`CutGraph::RESYNC_INTERVAL`]).
 ///
 /// # Panics
 ///
 /// Panics if `checkpoints` is not strictly ascending.
-pub fn sample_best_trace(
+pub fn sample_best_trace<G: CutGraph>(
     sampler: &mut impl CutSampler,
-    graph: &Graph,
+    graph: &G,
     checkpoints: &[u64],
-) -> BestTrace {
+) -> BestTrace<G::Value> {
     assert!(
         checkpoints.windows(2).all(|w| w[0] < w[1]),
         "checkpoints must be strictly ascending"
     );
-    let mut best = 0u64;
+    let mut best = G::Value::FLOOR;
     let mut out = Vec::with_capacity(checkpoints.len());
     let mut drawn = 0u64;
-    let mut tracker: Option<CutTracker<'_>> = None;
+    let mut tracker: Option<CutTracker<'_, G>> = None;
     for &cp in checkpoints {
         while drawn < cp {
             let cut = sampler.next_cut();
             // A cut and its complement are equivalent; both are covered by
             // the single evaluation.
-            let value = tracked_value(&mut tracker, graph, cut);
-            best = best.max(value);
+            let value = tracked_value(&mut tracker, graph, &cut);
+            best = best.larger(value);
             drawn += 1;
         }
-        out.push(best);
+        // A checkpoint before any sample records zero, not the floor.
+        out.push(if drawn == 0 {
+            G::Value::default()
+        } else {
+            best
+        });
     }
     BestTrace {
         checkpoints: checkpoints.to_vec(),
@@ -256,7 +250,7 @@ pub fn sample_stats(
     let mut tracker: Option<CutTracker<'_>> = None;
     for _ in 0..budget {
         let cut = sampler.next_cut();
-        let value = tracked_value(&mut tracker, graph, cut);
+        let value = tracked_value(&mut tracker, graph, &cut);
         best = best.max(value);
         total += value as f64;
     }

@@ -27,10 +27,10 @@ use crate::circuits::lif_annealed::{BatchedLifAnnealedCircuit, LifAnnealedConfig
 use crate::circuits::lif_gw::{BatchedLifGwCircuit, LifGwConfig};
 use crate::circuits::lif_trevisan::{BatchedLifTrevisanCircuit, LifTrevisanConfig};
 use crate::gw::{solve_gw, GwConfig, GwSolution};
-use crate::sampling::{log2_checkpoints, BestTrace, CutSampler};
-use crate::weighted::{solve_gw_weighted, WeightedBestTrace, WeightedLifTrevisanCircuit};
+use crate::sampling::{log2_checkpoints, tracked_value, BestTrace};
+use crate::weighted::solve_gw_weighted;
 use snc_devices::SplitMix64;
-use snc_graph::{CutAssignment, CutTracker, Graph, WeightedCutTracker, WeightedGraph};
+use snc_graph::{CutAssignment, CutGraph, CutTracker, CutValue, Graph, WeightedGraph};
 use snc_linalg::{LinalgError, SdpConfig};
 use snc_neuro::{LifParams, TwoStageConfig};
 use std::sync::Arc;
@@ -155,21 +155,22 @@ fn elapsed_us(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-/// The answer to a solve request.
+/// The answer to a solve request, with `u64` cut values on unweighted
+/// graphs and `f64` ones on weighted graphs.
 #[derive(Clone, Debug)]
-pub struct SolveOutcome {
+pub struct SolveOutcome<V = u64> {
     /// Merged best-so-far trace on the total-samples checkpoint grid
     /// (per-replica log2 checkpoints × effective width).
-    pub trace: BestTrace,
+    pub trace: BestTrace<V>,
     /// The best cut value over every sample of every replica (equal to
     /// `trace.final_best()`).
-    pub best_value: u64,
+    pub best_value: V,
     /// A partition achieving `best_value` — the earliest such sample,
     /// ties broken by lowest replica index, so the argmax is as
     /// deterministic as the value.
     pub best_cut: CutAssignment,
-    /// The SDP upper bound (LIF-GW only; LIF-Trevisan does no offline
-    /// work).
+    /// The SDP upper bound (SDP-backed families only; LIF-Trevisan and
+    /// Hopfield do no offline work).
     pub sdp_bound: Option<f64>,
     /// Effective replica width after capping at the budget.
     pub replicas: usize,
@@ -248,6 +249,47 @@ pub fn replica_checkpoints(budget: u64, replicas: usize) -> Vec<u64> {
     log2_checkpoints(budget / effective_replicas(budget, replicas) as u64)
 }
 
+/// The graph kinds [`solve`] runs on. Beyond the cut arithmetic of
+/// [`CutGraph`], the two kinds differ only in their offline SDP stage.
+pub trait SolveGraph: CutGraph {
+    /// The GW SDP for the SDP-backed families, and whether it was solved
+    /// by this call (`false` for a cache hit). Unweighted graphs consult
+    /// `cache` when one is given; weighted graphs always solve inline, so
+    /// the cache's counters stay a census of unweighted LIF-GW work.
+    ///
+    /// # Errors
+    ///
+    /// Propagates SDP solver errors.
+    fn gw_sdp(
+        &self,
+        cfg: &SdpConfig,
+        cache: Option<&SdpCache>,
+    ) -> Result<(Arc<GwSolution>, bool), LinalgError>;
+}
+
+impl SolveGraph for Graph {
+    fn gw_sdp(
+        &self,
+        cfg: &SdpConfig,
+        cache: Option<&SdpCache>,
+    ) -> Result<(Arc<GwSolution>, bool), LinalgError> {
+        match cache {
+            Some(cache) => cache.get_or_solve_traced(self, cfg.seed, cfg.rank),
+            None => Ok((Arc::new(solve_gw(self, &GwConfig { sdp: *cfg })?), true)),
+        }
+    }
+}
+
+impl SolveGraph for WeightedGraph {
+    fn gw_sdp(
+        &self,
+        cfg: &SdpConfig,
+        _cache: Option<&SdpCache>,
+    ) -> Result<(Arc<GwSolution>, bool), LinalgError> {
+        Ok((Arc::new(solve_gw_weighted(self, cfg)?), true))
+    }
+}
+
 /// Runs the requested circuit on `graph` and returns the best cut found
 /// within the budget, its partition, and the merged best-so-far trace.
 ///
@@ -258,21 +300,45 @@ pub fn replica_checkpoints(budget: u64, replicas: usize) -> Vec<u64> {
 /// ladder, slot 4 LIF-Trevisan's, slot 6 LIF-annealed's, and slot 7
 /// Hopfield's.
 ///
+/// On a weighted graph every family runs on the weights: the weighted
+/// SDP backs LIF-GW and LIF-annealed, Hopfield couples by weight, and
+/// LIF-Trevisan is programmed with the weighted Trevisan matrix.
+///
 /// # Errors
 ///
 /// Returns [`SolveError::EmptyBudget`] for a zero budget,
-/// [`SolveError::EmptyGraph`] for a vertexless graph, and propagates SDP
-/// failures for LIF-GW.
-pub fn solve(graph: &Graph, spec: &SolveSpec) -> Result<SolveOutcome, SolveError> {
+/// [`SolveError::EmptyGraph`] for a vertexless graph,
+/// [`SolveError::NegativeWeights`] for LIF-Trevisan on a graph with
+/// negative weights (the other three families accept signed weights),
+/// and propagates SDP failures.
+pub fn solve<G: SolveGraph>(
+    graph: &G,
+    spec: &SolveSpec,
+) -> Result<SolveOutcome<G::Value>, SolveError> {
     solve_with_cache(graph, spec, None)
 }
 
+/// [`solve`] on a weighted graph.
+///
+/// Kept as a named entry point because the `ladderbench` benchmark
+/// calls it.
+///
+/// # Errors
+///
+/// Same as [`solve`].
+pub fn solve_weighted(
+    graph: &WeightedGraph,
+    spec: &SolveSpec,
+) -> Result<SolveOutcome<f64>, SolveError> {
+    solve(graph, spec)
+}
+
 /// [`solve`] with an optional [`SdpCache`] consulted for the LIF-GW
-/// offline stage.
+/// offline stage of unweighted graphs.
 ///
 /// LIF-GW requests look up `(graph fingerprint, derived sdp seed, rank)`
 /// in the cache and reuse the stored factor/bound on a hit, skipping the
-/// SDP entirely; LIF-Trevisan does no offline work and bypasses the
+/// SDP entirely; the other families, and weighted graphs, bypass the
 /// cache untouched. Because the cached factor is bit-identical to a
 /// fresh solve's (the SDP is deterministic in its seed) and the sampling
 /// RNG streams derive from separate seed slots, a warm call returns
@@ -282,200 +348,57 @@ pub fn solve(graph: &Graph, spec: &SolveSpec) -> Result<SolveOutcome, SolveError
 /// # Errors
 ///
 /// Same as [`solve`].
-pub fn solve_with_cache(
-    graph: &Graph,
+pub fn solve_with_cache<G: SolveGraph>(
+    graph: &G,
     spec: &SolveSpec,
     cache: Option<&SdpCache>,
-) -> Result<SolveOutcome, SolveError> {
+) -> Result<SolveOutcome<G::Value>, SolveError> {
     if spec.budget == 0 {
         return Err(SolveError::EmptyBudget);
     }
     if graph.n() == 0 {
         return Err(SolveError::EmptyGraph);
     }
-    let replicas = effective_replicas(spec.budget, spec.replicas);
-    let checkpoints = replica_checkpoints(spec.budget, spec.replicas);
-    match spec.family {
-        CircuitFamily::LifGw => {
-            let sdp_seed = SplitMix64::derive(spec.seed, 1);
-            let sdp_started = Instant::now();
-            let (gw, freshly_solved): (Arc<GwSolution>, bool) = match cache {
-                Some(cache) => cache.get_or_solve_traced(graph, sdp_seed, spec.sdp_rank)?,
-                None => {
-                    let sdp_cfg = SdpConfig {
-                        rank: spec.sdp_rank,
-                        seed: sdp_seed,
-                        ..SdpConfig::default()
-                    };
-                    (Arc::new(solve_gw(graph, &GwConfig { sdp: sdp_cfg })?), true)
-                }
-            };
-            // Cache hits report no SDP time: the histogram of `sdp_us`
-            // stays a census of real SDP solves, not lookups.
-            let sdp_us = freshly_solved.then(|| elapsed_us(sdp_started));
-            let cfg = LifGwConfig {
-                lif: spec.lif,
-                ..LifGwConfig::default()
-            };
-            let seeds = replica_seeds(SplitMix64::derive(spec.seed, 3), replicas);
-            let mut batch = BatchedLifGwCircuit::new(&gw.factors, &seeds, &cfg);
-            let sampling_started = Instant::now();
-            let driven = drive(graph, &checkpoints, replicas, || batch.next_cuts());
-            let stages = StageTimings {
-                sdp_us,
-                sampling_us: elapsed_us(sampling_started),
-            };
-            Ok(driven.into_outcome(replicas, Some(gw.sdp_bound), stages))
-        }
-        CircuitFamily::LifTrevisan => {
-            let cfg = LifTrevisanConfig {
-                network: TwoStageConfig {
-                    lif: spec.lif,
-                    ..TwoStageConfig::default()
-                },
-                ..LifTrevisanConfig::default()
-            };
-            let seeds = replica_seeds(SplitMix64::derive(spec.seed, 4), replicas);
-            let mut batch = BatchedLifTrevisanCircuit::new(graph, &seeds, &cfg);
-            let sampling_started = Instant::now();
-            let driven = drive(graph, &checkpoints, replicas, || batch.next_cuts());
-            let stages = StageTimings {
-                sdp_us: None,
-                sampling_us: elapsed_us(sampling_started),
-            };
-            Ok(driven.into_outcome(replicas, None, stages))
-        }
-        CircuitFamily::LifAnnealed => {
-            // Same slot-1 SDP seed as LIF-GW (identical factors for an
-            // identical master seed) but computed inline, *never* through
-            // the SdpCache: the cache's hit/miss gauges stay an exact
-            // census of LIF-GW offline work, which the cache-equivalence
-            // suite pins.
-            let sdp_seed = SplitMix64::derive(spec.seed, 1);
-            let sdp_cfg = SdpConfig {
-                rank: spec.sdp_rank,
-                seed: sdp_seed,
-                ..SdpConfig::default()
-            };
-            let sdp_started = Instant::now();
-            let gw = solve_gw(graph, &GwConfig { sdp: sdp_cfg })?;
-            let sdp_us = Some(elapsed_us(sdp_started));
-            let cfg = LifAnnealedConfig {
-                base: LifGwConfig {
-                    lif: spec.lif,
-                    ..LifGwConfig::default()
-                },
-                schedule: spec.schedule,
-                ..LifAnnealedConfig::default()
-            };
-            let horizon = spec.budget / replicas as u64;
-            let seeds = replica_seeds(SplitMix64::derive(spec.seed, 6), replicas);
-            let mut batch =
-                BatchedLifAnnealedCircuit::new(&gw.factors, graph, &seeds, &cfg, horizon);
-            let sampling_started = Instant::now();
-            let driven = drive(graph, &checkpoints, replicas, || batch.next_cuts());
-            let stages = StageTimings {
-                sdp_us,
-                sampling_us: elapsed_us(sampling_started),
-            };
-            Ok(driven.into_outcome(replicas, Some(gw.sdp_bound), stages))
-        }
-        CircuitFamily::Hopfield => {
-            let cfg = HopfieldConfig {
-                steps_per_sample: spec.hopfield_steps,
-                ..HopfieldConfig::default()
-            };
-            let seeds = replica_seeds(SplitMix64::derive(spec.seed, 7), replicas);
-            let mut batch = BatchedHopfieldCircuit::new(graph, &seeds, &cfg);
-            let sampling_started = Instant::now();
-            let driven = drive(graph, &checkpoints, replicas, || batch.next_cuts());
-            let stages = StageTimings {
-                sdp_us: None,
-                sampling_us: elapsed_us(sampling_started),
-            };
-            Ok(driven.into_outcome(replicas, None, stages))
-        }
-    }
-}
-
-/// The answer to a weighted solve request — [`SolveOutcome`]'s shape
-/// with `f64` cut values.
-#[derive(Clone, Debug)]
-pub struct WeightedSolveOutcome {
-    /// Merged best-so-far trace on the total-samples checkpoint grid.
-    pub trace: WeightedBestTrace,
-    /// The best weighted cut value over every sample of every replica
-    /// (equal to `trace.final_best()`).
-    pub best_value: f64,
-    /// A partition achieving `best_value` (earliest sample, ties by
-    /// lowest replica index).
-    pub best_cut: CutAssignment,
-    /// The weighted SDP upper bound (SDP-backed families only).
-    pub sdp_bound: Option<f64>,
-    /// Effective replica width after capping at the budget.
-    pub replicas: usize,
-    /// Total samples actually drawn: `⌊budget/R⌋·R ≤ budget`.
-    pub samples: u64,
-    /// Wall-clock stage breakdown for this call (observational only —
-    /// not part of the deterministic answer).
-    pub stages: StageTimings,
-}
-
-/// [`solve`] on a weighted graph: every family runs, with the weighted
-/// SDP backing LIF-GW and LIF-annealed, weighted couplings in the
-/// Hopfield relaxation, and the weighted Trevisan operator in LIF-TR.
-///
-/// The seed ladder is slot-for-slot [`solve`]'s, so the weighted and
-/// unweighted paths of one master seed never share RNG streams by
-/// accident. Like [`solve`], the outcome is a pure function of
-/// `(graph, spec)`.
-///
-/// # Errors
-///
-/// Same as [`solve`], plus [`SolveError::NegativeWeights`] when the
-/// LIF-Trevisan family is requested on a graph with negative weights
-/// (its operator is undefined there; the other three families accept
-/// signed weights).
-pub fn solve_weighted(
-    graph: &WeightedGraph,
-    spec: &SolveSpec,
-) -> Result<WeightedSolveOutcome, SolveError> {
-    if spec.budget == 0 {
-        return Err(SolveError::EmptyBudget);
-    }
-    if graph.n() == 0 {
-        return Err(SolveError::EmptyGraph);
+    if spec.family == CircuitFamily::LifTrevisan && !graph.is_nonnegative() {
+        return Err(SolveError::NegativeWeights);
     }
     let replicas = effective_replicas(spec.budget, spec.replicas);
     let checkpoints = replica_checkpoints(spec.budget, spec.replicas);
-    let sdp_cfg = |spec: &SolveSpec| SdpConfig {
+    let seeds = |slot| replica_seeds(SplitMix64::derive(spec.seed, slot), replicas);
+
+    let sdp_cfg = SdpConfig {
         rank: spec.sdp_rank,
         seed: SplitMix64::derive(spec.seed, 1),
         ..SdpConfig::default()
     };
-    match spec.family {
+    let sdp_started = Instant::now();
+    let sdp = match spec.family {
+        CircuitFamily::LifGw => Some(graph.gw_sdp(&sdp_cfg, cache)?),
+        // Same slot-1 SDP seed as LIF-GW (identical factors for an
+        // identical master seed) but computed inline, *never* through
+        // the SdpCache: the cache's hit/miss gauges stay an exact census
+        // of LIF-GW offline work, which the cache-equivalence suite pins.
+        CircuitFamily::LifAnnealed => Some(graph.gw_sdp(&sdp_cfg, None)?),
+        CircuitFamily::LifTrevisan | CircuitFamily::Hopfield => None,
+    };
+    // Cache hits report no SDP time: the histogram of `sdp_us` stays a
+    // census of real SDP solves, not lookups.
+    let sdp_us = match &sdp {
+        Some((_, true)) => Some(elapsed_us(sdp_started)),
+        _ => None,
+    };
+    let factors = || &sdp.as_ref().expect("SDP-backed family").0.factors;
+
+    let gw_cfg = LifGwConfig {
+        lif: spec.lif,
+        ..LifGwConfig::default()
+    };
+    let mut next_cuts: Box<dyn FnMut() -> Vec<CutAssignment>> = match spec.family {
         CircuitFamily::LifGw => {
-            let sdp_started = Instant::now();
-            let gw = solve_gw_weighted(graph, &sdp_cfg(spec))?;
-            let sdp_us = Some(elapsed_us(sdp_started));
-            let cfg = LifGwConfig {
-                lif: spec.lif,
-                ..LifGwConfig::default()
-            };
-            let seeds = replica_seeds(SplitMix64::derive(spec.seed, 3), replicas);
-            let mut batch = BatchedLifGwCircuit::new(&gw.factors, &seeds, &cfg);
-            let sampling_started = Instant::now();
-            let driven = drive_weighted(graph, &checkpoints, replicas, || batch.next_cuts());
-            let stages = StageTimings {
-                sdp_us,
-                sampling_us: elapsed_us(sampling_started),
-            };
-            Ok(driven.into_outcome(replicas, Some(gw.sdp_bound), stages))
+            let mut batch = BatchedLifGwCircuit::new(factors(), &seeds(3), &gw_cfg);
+            Box::new(move || batch.next_cuts())
         }
         CircuitFamily::LifTrevisan => {
-            if !graph.is_nonnegative() {
-                return Err(SolveError::NegativeWeights);
-            }
             let cfg = LifTrevisanConfig {
                 network: TwoStageConfig {
                     lif: spec.lif,
@@ -483,88 +406,44 @@ pub fn solve_weighted(
                 },
                 ..LifTrevisanConfig::default()
             };
-            let seeds = replica_seeds(SplitMix64::derive(spec.seed, 4), replicas);
-            let mut circuits: Vec<WeightedLifTrevisanCircuit> = seeds
-                .iter()
-                .map(|&s| WeightedLifTrevisanCircuit::new(graph, s, &cfg))
-                .collect();
-            let sampling_started = Instant::now();
-            let driven = drive_weighted(graph, &checkpoints, replicas, || {
-                circuits.iter_mut().map(CutSampler::next_cut).collect()
-            });
-            let stages = StageTimings {
-                sdp_us: None,
-                sampling_us: elapsed_us(sampling_started),
-            };
-            Ok(driven.into_outcome(replicas, None, stages))
+            let mut batch = BatchedLifTrevisanCircuit::new(graph, &seeds(4), &cfg);
+            Box::new(move || batch.next_cuts())
         }
         CircuitFamily::LifAnnealed => {
-            let sdp_started = Instant::now();
-            let gw = solve_gw_weighted(graph, &sdp_cfg(spec))?;
-            let sdp_us = Some(elapsed_us(sdp_started));
             let cfg = LifAnnealedConfig {
-                base: LifGwConfig {
-                    lif: spec.lif,
-                    ..LifGwConfig::default()
-                },
+                base: gw_cfg,
                 schedule: spec.schedule,
                 ..LifAnnealedConfig::default()
             };
             let horizon = spec.budget / replicas as u64;
-            let seeds = replica_seeds(SplitMix64::derive(spec.seed, 6), replicas);
             let mut batch =
-                BatchedLifAnnealedCircuit::new_weighted(&gw.factors, graph, &seeds, &cfg, horizon);
-            let sampling_started = Instant::now();
-            let driven = drive_weighted(graph, &checkpoints, replicas, || batch.next_cuts());
-            let stages = StageTimings {
-                sdp_us,
-                sampling_us: elapsed_us(sampling_started),
-            };
-            Ok(driven.into_outcome(replicas, Some(gw.sdp_bound), stages))
+                BatchedLifAnnealedCircuit::new(factors(), graph, &seeds(6), &cfg, horizon);
+            Box::new(move || batch.next_cuts())
         }
         CircuitFamily::Hopfield => {
             let cfg = HopfieldConfig {
                 steps_per_sample: spec.hopfield_steps,
                 ..HopfieldConfig::default()
             };
-            let seeds = replica_seeds(SplitMix64::derive(spec.seed, 7), replicas);
-            let mut batch = BatchedHopfieldCircuit::new_weighted(graph, &seeds, &cfg);
-            let sampling_started = Instant::now();
-            let driven = drive_weighted(graph, &checkpoints, replicas, || batch.next_cuts());
-            let stages = StageTimings {
-                sdp_us: None,
-                sampling_us: elapsed_us(sampling_started),
-            };
-            Ok(driven.into_outcome(replicas, None, stages))
+            let mut batch = BatchedHopfieldCircuit::new(graph, &seeds(7), &cfg);
+            Box::new(move || batch.next_cuts())
         }
-    }
-}
-
-/// Intermediate result of [`drive`].
-struct Driven {
-    trace: BestTrace,
-    best_value: u64,
-    best_cut: CutAssignment,
-}
-
-impl Driven {
-    fn into_outcome(
-        self,
-        replicas: usize,
-        sdp_bound: Option<f64>,
-        stages: StageTimings,
-    ) -> SolveOutcome {
-        let samples = self.trace.checkpoints.last().copied().unwrap_or(0);
-        SolveOutcome {
-            best_value: self.best_value,
-            best_cut: self.best_cut,
-            trace: self.trace,
-            sdp_bound,
-            replicas,
-            samples,
-            stages,
-        }
-    }
+    };
+    let sampling_started = Instant::now();
+    let (trace, best_value, best_cut) = drive(graph, &checkpoints, replicas, &mut next_cuts);
+    let stages = StageTimings {
+        sdp_us,
+        sampling_us: elapsed_us(sampling_started),
+    };
+    Ok(SolveOutcome {
+        samples: trace.checkpoints.last().copied().unwrap_or(0),
+        trace,
+        best_value,
+        best_cut,
+        sdp_bound: sdp.map(|(gw, _)| gw.sdp_bound),
+        replicas,
+        stages,
+    })
 }
 
 /// The argmax-tracking variant of the batched checkpoint loop: advances
@@ -572,142 +451,51 @@ impl Driven {
 /// with incremental [`CutTracker`]s (values identical to the circuits'
 /// `best_traces`), merges at each checkpoint (max over replicas, sample
 /// counts summed — the `merge_traces` semantics), and keeps the earliest
-/// partition achieving the global best.
-fn drive(
-    graph: &Graph,
+/// partition achieving the global best. Returns the merged trace, the
+/// best value, and its partition.
+fn drive<G: CutGraph>(
+    graph: &G,
     checkpoints: &[u64],
     replicas: usize,
     mut next_cuts: impl FnMut() -> Vec<CutAssignment>,
-) -> Driven {
+) -> (BestTrace<G::Value>, G::Value, CutAssignment) {
     assert!(
         checkpoints.windows(2).all(|w| w[0] < w[1]),
         "checkpoints must be strictly ascending"
     );
     assert!(!checkpoints.is_empty(), "budget ≥ 1 yields ≥ 1 checkpoint");
-    let mut trackers: Vec<Option<CutTracker<'_>>> = (0..replicas).map(|_| None).collect();
-    let mut per_replica_best = vec![0u64; replicas];
+    let mut trackers: Vec<Option<CutTracker<'_, G>>> = (0..replicas).map(|_| None).collect();
+    let mut per_replica_best = vec![G::Value::FLOOR; replicas];
     let mut merged_best = Vec::with_capacity(checkpoints.len());
     // Champion: strictly-greater updates ⇒ earliest sample wins, ties
     // within a sample broken by replica index.
-    let mut champion: Option<(u64, CutAssignment)> = None;
+    let mut champion: Option<(G::Value, CutAssignment)> = None;
     let mut drawn = 0u64;
     for &cp in checkpoints {
         while drawn < cp {
             let cuts = next_cuts();
             debug_assert_eq!(cuts.len(), replicas);
             for (r, cut) in cuts.into_iter().enumerate() {
-                let value = match trackers[r].as_mut() {
-                    Some(t) => t.set_to(&cut),
-                    None => {
-                        let t = CutTracker::new(graph, cut.clone());
-                        let v = t.value();
-                        trackers[r] = Some(t);
-                        v
-                    }
-                };
-                per_replica_best[r] = per_replica_best[r].max(value);
+                let value = tracked_value(&mut trackers[r], graph, &cut);
+                per_replica_best[r] = per_replica_best[r].larger(value);
                 if champion.as_ref().is_none_or(|(best, _)| value > *best) {
                     champion = Some((value, cut));
                 }
             }
             drawn += 1;
         }
-        merged_best.push(per_replica_best.iter().copied().max().unwrap_or(0));
+        merged_best.push(
+            per_replica_best
+                .iter()
+                .fold(G::Value::FLOOR, |merged, &best| merged.larger(best)),
+        );
     }
     let (best_value, best_cut) = champion.expect("≥ 1 sample was drawn");
-    Driven {
-        trace: BestTrace {
-            checkpoints: checkpoints.iter().map(|&c| c * replicas as u64).collect(),
-            best: merged_best,
-        },
-        best_value,
-        best_cut,
-    }
-}
-
-/// Intermediate result of [`drive_weighted`].
-struct DrivenWeighted {
-    trace: WeightedBestTrace,
-    best_value: f64,
-    best_cut: CutAssignment,
-}
-
-impl DrivenWeighted {
-    fn into_outcome(
-        self,
-        replicas: usize,
-        sdp_bound: Option<f64>,
-        stages: StageTimings,
-    ) -> WeightedSolveOutcome {
-        let samples = self.trace.checkpoints.last().copied().unwrap_or(0);
-        WeightedSolveOutcome {
-            best_value: self.best_value,
-            best_cut: self.best_cut,
-            trace: self.trace,
-            sdp_bound,
-            replicas,
-            samples,
-            stages,
-        }
-    }
-}
-
-/// [`drive`] with weighted cut values: per-replica incremental
-/// [`WeightedCutTracker`]s, `f64` best-so-far merging, and the same
-/// earliest-sample/lowest-replica champion semantics (strictly-greater
-/// updates).
-fn drive_weighted(
-    graph: &WeightedGraph,
-    checkpoints: &[u64],
-    replicas: usize,
-    mut next_cuts: impl FnMut() -> Vec<CutAssignment>,
-) -> DrivenWeighted {
-    assert!(
-        checkpoints.windows(2).all(|w| w[0] < w[1]),
-        "checkpoints must be strictly ascending"
-    );
-    assert!(!checkpoints.is_empty(), "budget ≥ 1 yields ≥ 1 checkpoint");
-    let mut trackers: Vec<Option<WeightedCutTracker<'_>>> = (0..replicas).map(|_| None).collect();
-    let mut per_replica_best = vec![f64::NEG_INFINITY; replicas];
-    let mut merged_best = Vec::with_capacity(checkpoints.len());
-    let mut champion: Option<(f64, CutAssignment)> = None;
-    let mut drawn = 0u64;
-    for &cp in checkpoints {
-        while drawn < cp {
-            let cuts = next_cuts();
-            debug_assert_eq!(cuts.len(), replicas);
-            for (r, cut) in cuts.into_iter().enumerate() {
-                let value = match trackers[r].as_mut() {
-                    Some(t) => t.set_to(&cut),
-                    None => {
-                        let t = WeightedCutTracker::new(graph, cut.clone());
-                        let v = t.value();
-                        trackers[r] = Some(t);
-                        v
-                    }
-                };
-                per_replica_best[r] = per_replica_best[r].max(value);
-                if champion.as_ref().is_none_or(|(best, _)| value > *best) {
-                    champion = Some((value, cut));
-                }
-            }
-            drawn += 1;
-        }
-        let best = per_replica_best
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max);
-        merged_best.push(best);
-    }
-    let (best_value, best_cut) = champion.expect("≥ 1 sample was drawn");
-    DrivenWeighted {
-        trace: WeightedBestTrace {
-            checkpoints: checkpoints.iter().map(|&c| c * replicas as u64).collect(),
-            best: merged_best,
-        },
-        best_value,
-        best_cut,
-    }
+    let trace = BestTrace {
+        checkpoints: checkpoints.iter().map(|&c| c * replicas as u64).collect(),
+        best: merged_best,
+    };
+    (trace, best_value, best_cut)
 }
 
 #[cfg(test)]
@@ -940,7 +728,7 @@ mod tests {
         )
         .unwrap();
         for family in CircuitFamily::all() {
-            let out = solve_weighted(&g, &spec(family)).unwrap();
+            let out = solve(&g, &spec(family)).unwrap();
             // The incremental tracker resyncs periodically, so the
             // reported value matches a scratch evaluation to rounding.
             let scratch = g.cut_value(&out.best_cut);
@@ -972,27 +760,20 @@ mod tests {
         )
         .unwrap();
         for family in CircuitFamily::all() {
-            let a = solve_weighted(&g, &spec(family)).unwrap();
-            let b = solve_weighted(&g, &spec(family)).unwrap();
+            let a = solve(&g, &spec(family)).unwrap();
+            let b = solve(&g, &spec(family)).unwrap();
             assert_eq!(a.trace, b.trace, "{family:?}");
             assert_eq!(a.best_cut, b.best_cut, "{family:?}");
-            assert_eq!(
-                a.best_value.to_bits(),
-                b.best_value.to_bits(),
-                "{family:?}"
-            );
+            assert_eq!(a.best_value.to_bits(), b.best_value.to_bits(), "{family:?}");
         }
     }
 
     #[test]
     fn negative_weights_reject_trevisan_only() {
-        let g = WeightedGraph::from_weighted_edges(
-            4,
-            &[(0, 1, 1.0), (1, 2, -0.5), (2, 3, 2.0)],
-        )
-        .unwrap();
+        let g = WeightedGraph::from_weighted_edges(4, &[(0, 1, 1.0), (1, 2, -0.5), (2, 3, 2.0)])
+            .unwrap();
         assert_eq!(
-            solve_weighted(&g, &spec(CircuitFamily::LifTrevisan)).unwrap_err(),
+            solve(&g, &spec(CircuitFamily::LifTrevisan)).unwrap_err(),
             SolveError::NegativeWeights
         );
         for family in [
@@ -1000,7 +781,7 @@ mod tests {
             CircuitFamily::LifAnnealed,
             CircuitFamily::Hopfield,
         ] {
-            let out = solve_weighted(&g, &spec(family)).unwrap();
+            let out = solve(&g, &spec(family)).unwrap();
             assert!(out.best_value.is_finite(), "{family:?}");
         }
     }
@@ -1010,10 +791,10 @@ mod tests {
         let g = WeightedGraph::from_weighted_edges(3, &[(0, 1, 1.0)]).unwrap();
         let mut s = spec(CircuitFamily::Hopfield);
         s.budget = 0;
-        assert_eq!(solve_weighted(&g, &s).unwrap_err(), SolveError::EmptyBudget);
+        assert_eq!(solve(&g, &s).unwrap_err(), SolveError::EmptyBudget);
         let empty = WeightedGraph::from_weighted_edges(0, &[]).unwrap();
         assert_eq!(
-            solve_weighted(&empty, &spec(CircuitFamily::Hopfield)).unwrap_err(),
+            solve(&empty, &spec(CircuitFamily::Hopfield)).unwrap_err(),
             SolveError::EmptyGraph
         );
     }
@@ -1026,7 +807,7 @@ mod tests {
         let g = WeightedGraph::from_graph(&base);
         let s = spec(CircuitFamily::Hopfield);
         let unweighted = solve(&base, &s).unwrap();
-        let weighted = solve_weighted(&g, &s).unwrap();
+        let weighted = solve(&g, &s).unwrap();
         assert_eq!(weighted.best_cut, unweighted.best_cut);
         assert_eq!(weighted.best_value, unweighted.best_value as f64);
         assert_eq!(

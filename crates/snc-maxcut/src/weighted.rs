@@ -1,94 +1,24 @@
-//! Weighted MAXCUT: the full solver stack on weighted graphs.
+//! Weighted MAXCUT: the solvers that need a weighted formula of their own.
 //!
 //! The paper's formulation (§II.A) is already weighted (`A_ij` is any
-//! adjacency matrix), and two of its Table-I networks are weighted. This
-//! module runs every solver on [`WeightedGraph`]s:
+//! adjacency matrix), and two of its Table-I networks are weighted. The
+//! circuits, trackers and traces run on [`WeightedGraph`]s through the
+//! [`CutGraph`](snc_graph::CutGraph) trait; this module holds the rest:
 //!
 //! * [`solve_gw_weighted`] — the GW SDP with weighted couplings; the
 //!   factor matrix feeds the same [`GwSampler`](crate::GwSampler)/[`LifGwCircuit`](crate::LifGwCircuit)
 //!   machinery unchanged (rounding only looks at the factors).
 //! * [`solve_trevisan_weighted`] — minimum eigenvector of the *weighted*
 //!   Trevisan matrix `I + D_w^{-1/2} A_w D_w^{-1/2}`.
-//! * [`WeightedLifTrevisanCircuit`] — the LIF-TR circuit programmed with
-//!   the weighted Trevisan matrix.
 //! * [`brute_force_weighted`] — exact ground truth for small instances.
-//! * [`sample_best_trace_weighted`] — best-so-far traces with `f64` cut
-//!   values.
 
-use crate::circuits::lif_trevisan::LifTrevisanConfig;
-use crate::sampling::CutSampler;
+use crate::gw::GwSolution;
 use snc_graph::weighted::WeightedTrevisanOperator;
-use snc_graph::{CutAssignment, WeightedCutTracker, WeightedGraph};
+use snc_graph::{CutAssignment, WeightedGraph};
 use snc_linalg::eigen::{extreme_eigenpair, Which};
 use snc_linalg::{sdp, LinalgError, SdpConfig};
-use snc_neuro::TwoStageNetwork;
 
-/// Best-so-far weighted cut values at sample-count checkpoints.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WeightedBestTrace {
-    /// Sample counts (ascending).
-    pub checkpoints: Vec<u64>,
-    /// Best weighted cut within the first `checkpoints[k]` samples.
-    pub best: Vec<f64>,
-}
-
-impl WeightedBestTrace {
-    /// The final best value.
-    pub fn final_best(&self) -> f64 {
-        self.best.last().copied().unwrap_or(0.0)
-    }
-}
-
-/// Draws samples and records the best weighted cut at each checkpoint.
-///
-/// Cut values are maintained incrementally with a [`WeightedCutTracker`]
-/// (the weighted LIF-Trevisan circuit's consecutive samples differ in few
-/// vertices, so diffs beat O(m) re-evaluation). The maintained `f64` can
-/// differ from a scratch evaluation by accumulated rounding of order
-/// `ε·Σ|w|` between the tracker's periodic resyncs; see
-/// [`WeightedCutTracker::RESYNC_INTERVAL`].
-///
-/// # Panics
-///
-/// Panics if `checkpoints` is not strictly ascending.
-pub fn sample_best_trace_weighted(
-    sampler: &mut impl CutSampler,
-    graph: &WeightedGraph,
-    checkpoints: &[u64],
-) -> WeightedBestTrace {
-    assert!(
-        checkpoints.windows(2).all(|w| w[0] < w[1]),
-        "checkpoints must be strictly ascending"
-    );
-    let mut best = f64::NEG_INFINITY;
-    let mut out = Vec::with_capacity(checkpoints.len());
-    let mut drawn = 0u64;
-    let mut tracker: Option<WeightedCutTracker<'_>> = None;
-    for &cp in checkpoints {
-        while drawn < cp {
-            let cut = sampler.next_cut();
-            let value = crate::sampling::tracked_value_weighted(&mut tracker, graph, cut);
-            best = best.max(value);
-            drawn += 1;
-        }
-        out.push(if best.is_finite() { best } else { 0.0 });
-    }
-    WeightedBestTrace {
-        checkpoints: checkpoints.to_vec(),
-        best: out,
-    }
-}
-
-/// Result of the weighted GW SDP.
-#[derive(Clone, Debug)]
-pub struct WeightedGwSolution {
-    /// The `n × r` factor matrix.
-    pub factors: snc_linalg::DMatrix,
-    /// SDP upper bound on the weighted maximum cut.
-    pub sdp_bound: f64,
-}
-
-/// Solves the weighted GW SDP.
+/// Solves the weighted GW SDP; the bound is on the weighted maximum cut.
 ///
 /// # Errors
 ///
@@ -96,14 +26,14 @@ pub struct WeightedGwSolution {
 pub fn solve_gw_weighted(
     graph: &WeightedGraph,
     cfg: &SdpConfig,
-) -> Result<WeightedGwSolution, LinalgError> {
+) -> Result<GwSolution, LinalgError> {
     let couplings: Vec<sdp::Coupling> = graph
         .edges()
         .map(|(i, j, w)| sdp::Coupling { i, j, w })
         .collect();
     let sol = sdp::solve_weighted_sdp(graph.n(), &couplings, cfg)?;
     let sdp_bound = sol.cut_upper_bound(graph.total_weight());
-    Ok(WeightedGwSolution {
+    Ok(GwSolution {
         factors: sol.factors,
         sdp_bound,
     })
@@ -143,41 +73,6 @@ pub fn solve_trevisan_weighted(
     })
 }
 
-/// The LIF-Trevisan circuit on a weighted graph: identical dynamics, with
-/// the weighted Trevisan matrix as the synaptic program.
-#[derive(Clone, Debug)]
-pub struct WeightedLifTrevisanCircuit {
-    net: TwoStageNetwork,
-    updates_per_sample: u64,
-}
-
-impl WeightedLifTrevisanCircuit {
-    /// Builds the circuit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph has negative weights.
-    pub fn new(graph: &WeightedGraph, seed: u64, cfg: &LifTrevisanConfig) -> Self {
-        let net = TwoStageNetwork::new_weighted(graph, seed, cfg.network);
-        Self {
-            net,
-            updates_per_sample: cfg.updates_per_sample.max(1),
-        }
-    }
-
-    /// The current plastic weight vector.
-    pub fn readout_weights(&self) -> &[f64] {
-        self.net.readout_weights()
-    }
-}
-
-impl CutSampler for WeightedLifTrevisanCircuit {
-    fn next_cut(&mut self) -> CutAssignment {
-        self.net.run_updates(self.updates_per_sample);
-        CutAssignment::from_signs(self.net.readout_weights())
-    }
-}
-
 /// Exact weighted maximum cut by enumeration (`n ≤ 26`).
 ///
 /// # Panics
@@ -214,8 +109,9 @@ pub fn brute_force_weighted(graph: &WeightedGraph) -> (CutAssignment, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuits::lif_trevisan::{LifTrevisanCircuit, LifTrevisanConfig};
     use crate::gw::GwSampler;
-    use crate::sampling::log2_checkpoints;
+    use crate::sampling::{log2_checkpoints, sample_best_trace};
     use snc_graph::generators::structured::{complete_bipartite, cycle};
     use snc_graph::weighted::{randomize_weights, WeightDistribution};
 
@@ -254,7 +150,7 @@ mod tests {
             let sol = solve_gw_weighted(&g, &SdpConfig::default()).unwrap();
             assert!(sol.sdp_bound + 1e-6 >= opt, "bound {} < {opt}", sol.sdp_bound);
             let mut sampler = GwSampler::new(sol.factors, seed);
-            let trace = sample_best_trace_weighted(&mut sampler, &g, &log2_checkpoints(64));
+            let trace = sample_best_trace(&mut sampler, &g, &log2_checkpoints(64));
             assert!(
                 trace.final_best() >= 0.878 * opt,
                 "seed {seed}: {} < 0.878·{opt}",
@@ -292,8 +188,8 @@ mod tests {
         let base = complete_bipartite(3, 3);
         let g = randomize_weights(&base, WeightDistribution::Uniform { lo: 0.5, hi: 1.5 }, 5)
             .unwrap();
-        let mut circuit = WeightedLifTrevisanCircuit::new(&g, 3, &LifTrevisanConfig::default());
-        let trace = sample_best_trace_weighted(&mut circuit, &g, &log2_checkpoints(20_000));
+        let mut circuit = LifTrevisanCircuit::new(&g, 3, &LifTrevisanConfig::default());
+        let trace = sample_best_trace(&mut circuit, &g, &log2_checkpoints(20_000));
         assert!(
             (trace.final_best() - g.total_weight()).abs() < 1e-9,
             "reached {} of {}",
@@ -307,7 +203,7 @@ mod tests {
         let g = weighted_fixture(9);
         let sol = solve_gw_weighted(&g, &SdpConfig::default()).unwrap();
         let mut sampler = GwSampler::new(sol.factors, 1);
-        let trace = sample_best_trace_weighted(&mut sampler, &g, &log2_checkpoints(32));
+        let trace = sample_best_trace(&mut sampler, &g, &log2_checkpoints(32));
         assert!(trace.best.windows(2).all(|w| w[0] <= w[1]));
     }
 }

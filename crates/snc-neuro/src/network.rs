@@ -18,7 +18,7 @@ use crate::population::LifPopulation;
 use crate::synapse::{CscWeights, InputWeights};
 use crate::theory;
 use snc_devices::{CommonCause, DeviceModel, DevicePool, PoolSpec};
-use snc_graph::Graph;
+use snc_graph::CutGraph;
 use snc_linalg::vector;
 
 /// A pool of stochastic devices driving a LIF population through a weight
@@ -245,26 +245,25 @@ pub struct TwoStageNetwork {
 }
 
 impl TwoStageNetwork {
-    /// Builds the circuit for a graph with fair-coin devices.
-    pub fn new(graph: &Graph, seed: u64, config: TwoStageConfig) -> Self {
+    /// Builds the circuit for a graph with fair-coin devices (on a
+    /// weighted graph, the weighted Trevisan matrix is the synaptic
+    /// program).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has negative weights.
+    pub fn new<G: CutGraph>(graph: &G, seed: u64, config: TwoStageConfig) -> Self {
         Self::with_devices(graph, DeviceModel::fair(), None, seed, config)
-    }
-
-    /// Builds the circuit for a *weighted* graph (weighted Trevisan matrix
-    /// as the synaptic program, fair-coin devices).
-    pub fn new_weighted(
-        graph: &snc_graph::WeightedGraph,
-        seed: u64,
-        config: TwoStageConfig,
-    ) -> Self {
-        let weights = CscWeights::trevisan_weighted(graph, config.weight_scale);
-        Self::from_weights(weights, DeviceModel::fair(), None, seed, config)
     }
 
     /// Builds the circuit with a custom device model and optional
     /// common-cause correlation (for the robustness experiments).
-    pub fn with_devices(
-        graph: &Graph,
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has negative weights.
+    pub fn with_devices<G: CutGraph>(
+        graph: &G,
         model: DeviceModel,
         common_cause: Option<CommonCause>,
         seed: u64,
@@ -446,8 +445,8 @@ impl BatchedTwoStageNetwork {
     ///
     /// # Panics
     ///
-    /// Panics if `seeds` is empty.
-    pub fn new(graph: &Graph, seeds: &[u64], config: TwoStageConfig) -> Self {
+    /// Panics if `seeds` is empty or the graph has negative weights.
+    pub fn new<G: CutGraph>(graph: &G, seeds: &[u64], config: TwoStageConfig) -> Self {
         Self::with_devices(graph, DeviceModel::fair(), None, seeds, config)
     }
 
@@ -457,9 +456,9 @@ impl BatchedTwoStageNetwork {
     ///
     /// # Panics
     ///
-    /// Panics if `seeds` is empty.
-    pub fn with_devices(
-        graph: &Graph,
+    /// Panics if `seeds` is empty or the graph has negative weights.
+    pub fn with_devices<G: CutGraph>(
+        graph: &G,
         model: DeviceModel,
         common_cause: Option<CommonCause>,
         seeds: &[u64],
@@ -611,6 +610,7 @@ mod tests {
     use super::*;
     use crate::synapse::DenseWeights;
     use snc_graph::generators::structured::{complete_bipartite, cycle};
+    use snc_graph::Graph;
     use snc_linalg::DMatrix;
 
     fn fair_pool(r: usize, seed: u64) -> DevicePool {

@@ -19,7 +19,7 @@
 //! across replicas (see `crate::parallel::ReplicaBatch`).
 
 use snc_devices::ActivityWords;
-use snc_graph::Graph;
+use snc_graph::CutGraph;
 use snc_linalg::DMatrix;
 
 /// A device→neuron weight matrix supporting the binary-input kernel.
@@ -341,9 +341,10 @@ pub struct CscWeights {
 
 impl CscWeights {
     /// Builds the LIF-Trevisan weight matrix for a graph: the `n × n`
-    /// Trevisan matrix `I + D^{-1/2} A D^{-1/2}`, scaled by `scale`
-    /// (§IV.B: "connection weights between the random devices and the LIF
-    /// population … set proportional to the Trevisan matrix").
+    /// Trevisan matrix `I + D^{-1/2} A D^{-1/2}` (weighted degrees and
+    /// weights on a weighted graph), scaled by `scale` (§IV.B: "connection
+    /// weights between the random devices and the LIF population … set
+    /// proportional to the Trevisan matrix").
     ///
     /// Isolated vertices get only their diagonal entry.
     ///
@@ -351,17 +352,26 @@ impl CscWeights {
     ///
     /// Panics if `scale` is non-finite (every stored value has magnitude
     /// ≤ `|scale|`, so a finite scale makes the whole matrix finite —
-    /// the `CscWeights` invariant the batched kernel relies on).
-    pub fn trevisan(graph: &Graph, scale: f64) -> Self {
-        assert!(scale.is_finite(), "weight scale must be finite, got {scale}");
+    /// the `CscWeights` invariant the batched kernel relies on), or if the
+    /// graph has negative weights (the matrix is only defined for
+    /// non-negative weights).
+    pub fn trevisan<G: CutGraph>(graph: &G, scale: f64) -> Self {
+        assert!(
+            scale.is_finite(),
+            "weight scale must be finite, got {scale}"
+        );
+        assert!(
+            graph.is_nonnegative(),
+            "weighted Trevisan matrix requires non-negative weights"
+        );
         let n = graph.n();
         let inv_sqrt: Vec<f64> = (0..n)
             .map(|i| {
-                let d = graph.degree(i);
-                if d == 0 {
+                let d = graph.weighted_degree(i);
+                if d <= 0.0 {
                     0.0
                 } else {
-                    1.0 / (d as f64).sqrt()
+                    1.0 / d.sqrt()
                 }
             })
             .collect();
@@ -374,7 +384,7 @@ impl CscWeights {
             // Entries must be in increasing row order; neighbors are sorted
             // so merge the diagonal in place.
             let mut placed_diag = false;
-            for &i in graph.neighbors(j) {
+            for (i, w) in graph.weighted_neighbors(j) {
                 let i = i as usize;
                 if !placed_diag && i > j {
                     row_idx.push(j as u32);
@@ -382,7 +392,7 @@ impl CscWeights {
                     placed_diag = true;
                 }
                 row_idx.push(i as u32);
-                values.push(scale * inv_sqrt[i] * inv_sqrt[j]);
+                values.push(scale * w * inv_sqrt[i] * inv_sqrt[j]);
             }
             if !placed_diag {
                 row_idx.push(j as u32);
@@ -400,7 +410,10 @@ impl CscWeights {
     }
 
     /// Builds the weighted LIF-Trevisan weight matrix
-    /// `I + D_w^{-1/2} A_w D_w^{-1/2}` for a weighted graph, scaled.
+    /// `I + D_w^{-1/2} A_w D_w^{-1/2}` for a weighted graph, scaled, from
+    /// triplets: an independent construction of what
+    /// [`CscWeights::trevisan`] builds on a weighted graph, kept as the
+    /// reference the two are checked against.
     ///
     /// # Panics
     ///
@@ -625,6 +638,32 @@ impl BatchWeights for CscWeights {
 mod tests {
     use super::*;
     use snc_graph::generators::structured::{complete, cycle};
+    use snc_graph::Graph;
+
+    #[test]
+    fn trevisan_on_weighted_graphs_matches_the_triplet_build() {
+        use snc_graph::weighted::{randomize_weights, WeightDistribution};
+        for seed in 0..4u64 {
+            let base = snc_graph::generators::erdos_renyi::gnp(20, 0.25, seed).unwrap();
+            let g = randomize_weights(
+                &base,
+                WeightDistribution::Uniform { lo: 0.1, hi: 3.0 },
+                seed,
+            )
+            .unwrap();
+            assert_eq!(
+                CscWeights::trevisan(&g, 0.7),
+                CscWeights::trevisan_weighted(&g, 0.7)
+            );
+        }
+        // Unit weights reproduce the unweighted matrix exactly.
+        let base = cycle(9);
+        let unit = snc_graph::WeightedGraph::from_graph(&base);
+        assert_eq!(
+            CscWeights::trevisan(&unit, 1.0),
+            CscWeights::trevisan(&base, 1.0)
+        );
+    }
 
     #[test]
     fn dense_accumulate_matches_matvec() {

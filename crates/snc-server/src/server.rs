@@ -19,10 +19,10 @@
 //!      │                        │                                    │
 //!      │                        ▼                                    │
 //!      │                worker, by workload:                         │
-//!      │                  graph      → snc_maxcut::solve_with_cache  │
-//!      │                        │      (SdpCache: per-graph factor/bound
-//!      │                        │       memo for LIF-GW's offline stage)
-//!      │                  weighted   → snc_maxcut::solve_weighted    │
+//!      │                  graph or   → snc_maxcut::solve_with_cache  │
+//!      │                  weighted     (SdpCache: per-graph factor/bound
+//!      │                        │       memo for unweighted LIF-GW's │
+//!      │                        │       offline stage)               │
 //!      │                  max2sat    → extensions::solve_gw_max2sat  │
 //!      │                  maxdicut   → extensions::solve_gw_maxdicut │
 //!      │                        │                                    │
@@ -650,6 +650,19 @@ fn extension_sdp_config(defaults: &RequestDefaults, seed: u64) -> SdpConfig {
     }
 }
 
+/// Solves a MAXCUT job and renders its body. Only unweighted LIF-GW
+/// consults the [`SdpCache`] (see [`snc_maxcut::SolveGraph::gw_sdp`]).
+fn solve_graph_job<G: wire::WireGraph>(
+    job: &wire::SolveJob<G>,
+    sdp_cache: Option<&SdpCache>,
+) -> Result<(Json, StageTimings), (u16, String)> {
+    guarded(|| {
+        snc_maxcut::solve_with_cache(&job.graph, &job.spec, sdp_cache)
+            .map(|outcome| (wire::solve_response(job, &outcome), outcome.stages))
+            .map_err(|e| e.to_string())
+    })
+}
+
 /// Executes a parsed workload to its deterministic response tree (the
 /// unit of work scheduled on the pool), plus the wall-clock stage
 /// breakdown the solver observed (all-zero for the extension
@@ -663,16 +676,8 @@ fn run_workload(
     sdp_cache: Option<&SdpCache>,
 ) -> Result<(Json, StageTimings), (u16, String)> {
     match workload {
-        Workload::MaxCut(job) => guarded(|| {
-            snc_maxcut::solve_with_cache(&job.graph, &job.spec, sdp_cache)
-                .map(|outcome| (wire::solve_response(job, &outcome), outcome.stages))
-                .map_err(|e| e.to_string())
-        }),
-        Workload::WeightedMaxCut(job) => guarded(|| {
-            snc_maxcut::solve_weighted(&job.graph, &job.spec)
-                .map(|outcome| (wire::weighted_solve_response(job, &outcome), outcome.stages))
-                .map_err(|e| e.to_string())
-        }),
+        Workload::MaxCut(job) => solve_graph_job(job, sdp_cache),
+        Workload::WeightedMaxCut(job) => solve_graph_job(job, sdp_cache),
         Workload::Max2Sat(job) => guarded(|| {
             snc_maxcut::extensions::max2sat::solve_gw_max2sat(
                 &job.instance,

@@ -65,7 +65,7 @@ use snc_graph::{EmpiricalDataset, Graph, WeightedGraph};
 use snc_maxcut::extensions::max2sat::{Clause, Literal, Max2Sat, Max2SatSolution};
 use snc_maxcut::extensions::maxdicut::{DiGraph, MaxDicutSolution};
 use snc_maxcut::{
-    CircuitFamily, CoolingSchedule, ScheduleKind, SolveOutcome, SolveSpec, WeightedSolveOutcome,
+    CircuitFamily, CoolingSchedule, ScheduleKind, SolveGraph, SolveOutcome, SolveSpec,
 };
 use snc_neuro::LifParams;
 
@@ -101,31 +101,20 @@ pub struct RequestDefaults {
     pub max_hopfield_steps: u64,
 }
 
-/// A parsed, validated unweighted solve request: the graph to cut and
-/// the fully resolved spec to dispatch.
+/// A parsed, validated MAXCUT solve request: the graph to cut (a
+/// [`Graph`] or a [`WeightedGraph`]) and the fully resolved spec to
+/// dispatch.
 #[derive(Clone, Debug)]
-pub struct SolveJob {
+pub struct SolveJob<G = Graph> {
     /// The graph built from the request body.
-    pub graph: Graph,
+    pub graph: G,
     /// The resolved solve spec ([`snc_maxcut::solve()`]'s input).
     pub spec: SolveSpec,
     /// A deterministic label of the graph source, echoed in responses.
     pub graph_label: String,
 }
 
-/// A parsed weighted solve request ([`snc_maxcut::solve_weighted()`]'s
-/// input).
-#[derive(Clone, Debug)]
-pub struct WeightedSolveJob {
-    /// The weighted graph built from the request body.
-    pub graph: WeightedGraph,
-    /// The resolved solve spec.
-    pub spec: SolveSpec,
-    /// A deterministic label of the graph source, echoed in responses.
-    pub graph_label: String,
-}
-
-impl WeightedSolveJob {
+impl SolveJob<WeightedGraph> {
     /// A canonical string rendering of the weighted graph for cache
     /// keying: weights by their exact bit pattern, so byte-equality of
     /// the string ⇔ bit-equality of the instance.
@@ -198,7 +187,7 @@ pub enum Workload {
     /// Unweighted MAXCUT through the circuit families.
     MaxCut(SolveJob),
     /// Weighted MAXCUT through the circuit families.
-    WeightedMaxCut(WeightedSolveJob),
+    WeightedMaxCut(SolveJob<WeightedGraph>),
     /// MAX2SAT via the GW SDP + rounding extension.
     Max2Sat(Max2SatJob),
     /// MAXDICUT via the GW SDP + rounding extension.
@@ -453,7 +442,11 @@ fn parse_maxcut_request(
             if family == CircuitFamily::LifTrevisan && !graph.is_nonnegative() {
                 return Err(err("lif-trevisan requires non-negative edge weights"));
             }
-            Ok(Workload::WeightedMaxCut(WeightedSolveJob { graph, spec, graph_label }))
+            Ok(Workload::WeightedMaxCut(SolveJob {
+                graph,
+                spec,
+                graph_label,
+            }))
         }
     }
 }
@@ -790,14 +783,9 @@ fn parse_graph(value: &Json, defaults: &RequestDefaults) -> Result<ParsedGraph, 
                         parse_weighted_triples(value.get("weighted_edges").expect("key present"))?;
                     let declared_n = parse_declared_n(value)?;
                     let max_id = triples.iter().map(|&(u, v, _)| u.max(v)).max().unwrap_or(0);
-                    let implied_n = declared_n
-                        .unwrap_or_else(|| max_id.saturating_add(1).min(usize::MAX as u64) as usize);
+                    let implied_n = declared_n.unwrap_or(max_id as usize + 1);
                     check_vertices(implied_n, defaults)?;
-                    let edges: Vec<(u32, u32, f64)> = triples
-                        .into_iter()
-                        .map(|(u, v, w)| (u as u32, v as u32, w))
-                        .collect();
-                    let graph = WeightedGraph::from_weighted_edges(implied_n, &edges)
+                    let graph = WeightedGraph::from_weighted_edges(implied_n, &triples)
                         .map_err(|e| err(format!("invalid weighted edges: {e}")))?;
                     ParsedGraph::Weighted(graph, "weighted-edges".to_string())
                 }
@@ -917,10 +905,23 @@ fn parse_edge_pairs(value: &Json) -> Result<Vec<(u64, u64)>, WireError> {
         .collect()
 }
 
-fn parse_weighted_triples(value: &Json) -> Result<Vec<(u64, u64, f64)>, WireError> {
+/// `[[u, v, w], …]` → weighted edges. Endpoints must fit the `u32` vertex
+/// ids graphs store, as `edgelist::from_pairs` requires of plain edges:
+/// a larger id is a rejection, never a truncation.
+fn parse_weighted_triples(value: &Json) -> Result<Vec<(u32, u32, f64)>, WireError> {
     let items = value
         .as_array()
         .ok_or_else(|| err("`weighted_edges` must be an array of [u, v, w] triples"))?;
+    let endpoint = |id: &Json| {
+        let id = id
+            .as_u64()
+            .ok_or_else(|| err("edge endpoints must be non-negative integers"))?;
+        u32::try_from(id).map_err(|_| {
+            err(format!(
+                "invalid weighted edges: vertex id {id} exceeds the supported range (u32)"
+            ))
+        })
+    };
     items
         .iter()
         .map(|item| {
@@ -928,12 +929,8 @@ fn parse_weighted_triples(value: &Json) -> Result<Vec<(u64, u64, f64)>, WireErro
                 .as_array()
                 .filter(|t| t.len() == 3)
                 .ok_or_else(|| err("each weighted edge must be a [u, v, w] triple"))?;
-            let u = triple[0]
-                .as_u64()
-                .ok_or_else(|| err("edge endpoints must be non-negative integers"))?;
-            let v = triple[1]
-                .as_u64()
-                .ok_or_else(|| err("edge endpoints must be non-negative integers"))?;
+            let u = endpoint(&triple[0])?;
+            let v = endpoint(&triple[1])?;
             let w = triple[2]
                 .as_f64()
                 .ok_or_else(|| err("edge weights must be numbers"))?;
@@ -951,28 +948,61 @@ fn parse_weighted_triples(value: &Json) -> Result<Vec<(u64, u64, f64)>, WireErro
         .collect()
 }
 
-/// Renders an unweighted solve outcome as the deterministic response
-/// body.
+/// How a response body renders a graph kind: unweighted bodies carry
+/// exact integer cut values, weighted bodies float ones and a
+/// `"weighted": true` marker.
+pub trait WireGraph: SolveGraph {
+    /// Members rendered after `"m"`.
+    fn markers() -> Vec<(String, Json)>;
+
+    /// A cut value as a JSON number.
+    fn value_json(value: Self::Value) -> Json;
+}
+
+impl WireGraph for Graph {
+    fn markers() -> Vec<(String, Json)> {
+        Vec::new()
+    }
+
+    fn value_json(value: u64) -> Json {
+        Json::UInt(value)
+    }
+}
+
+impl WireGraph for WeightedGraph {
+    fn markers() -> Vec<(String, Json)> {
+        vec![("weighted".into(), Json::Bool(true))]
+    }
+
+    fn value_json(value: f64) -> Json {
+        Json::Num(value)
+    }
+}
+
+/// Renders a solve outcome as the deterministic response body.
 ///
 /// Pure function of `(job, outcome)`: no timestamps, ids, or timing —
 /// identical seeded requests render byte-identical bodies.
-pub fn solve_response(job: &SolveJob, outcome: &SolveOutcome) -> Json {
+pub fn solve_response<G: WireGraph>(job: &SolveJob<G>, outcome: &SolveOutcome<G::Value>) -> Json {
     let partition: Vec<Json> = outcome
         .best_cut
         .sides()
         .iter()
         .map(|&s| Json::UInt(u64::from(s == 1)))
         .collect();
-    Json::Obj(vec![
+    let mut members = vec![
         ("circuit".into(), Json::str(job.spec.family.name())),
         ("graph".into(), Json::str(job.graph_label.clone())),
         ("n".into(), Json::UInt(job.graph.n() as u64)),
         ("m".into(), Json::UInt(job.graph.m() as u64)),
+    ];
+    members.extend(G::markers());
+    members.extend([
         ("budget".into(), Json::UInt(job.spec.budget)),
         ("replicas".into(), Json::UInt(outcome.replicas as u64)),
         ("samples".into(), Json::UInt(outcome.samples)),
         ("seed".into(), Json::UInt(job.spec.seed)),
-        ("best_cut".into(), Json::UInt(outcome.best_value)),
+        ("best_cut".into(), G::value_json(outcome.best_value)),
         ("partition".into(), Json::Arr(partition)),
         (
             "sdp_bound".into(),
@@ -994,60 +1024,27 @@ pub fn solve_response(job: &SolveJob, outcome: &SolveOutcome) -> Json {
                 ),
                 (
                     "best".into(),
-                    Json::Arr(outcome.trace.best.iter().map(|&b| Json::UInt(b)).collect()),
+                    Json::Arr(
+                        outcome
+                            .trace
+                            .best
+                            .iter()
+                            .map(|&b| G::value_json(b))
+                            .collect(),
+                    ),
                 ),
             ]),
         ),
-    ])
+    ]);
+    Json::Obj(members)
 }
 
-/// Renders a weighted solve outcome as the deterministic response body
-/// (same shape as [`solve_response`] with float-valued cuts and a
-/// `"weighted": true` marker).
-pub fn weighted_solve_response(job: &WeightedSolveJob, outcome: &WeightedSolveOutcome) -> Json {
-    let partition: Vec<Json> = outcome
-        .best_cut
-        .sides()
-        .iter()
-        .map(|&s| Json::UInt(u64::from(s == 1)))
-        .collect();
-    Json::Obj(vec![
-        ("circuit".into(), Json::str(job.spec.family.name())),
-        ("graph".into(), Json::str(job.graph_label.clone())),
-        ("n".into(), Json::UInt(job.graph.n() as u64)),
-        ("m".into(), Json::UInt(job.graph.m() as u64)),
-        ("weighted".into(), Json::Bool(true)),
-        ("budget".into(), Json::UInt(job.spec.budget)),
-        ("replicas".into(), Json::UInt(outcome.replicas as u64)),
-        ("samples".into(), Json::UInt(outcome.samples)),
-        ("seed".into(), Json::UInt(job.spec.seed)),
-        ("best_cut".into(), Json::Num(outcome.best_value)),
-        ("partition".into(), Json::Arr(partition)),
-        (
-            "sdp_bound".into(),
-            outcome.sdp_bound.map_or(Json::Null, Json::Num),
-        ),
-        (
-            "trace".into(),
-            Json::Obj(vec![
-                (
-                    "checkpoints".into(),
-                    Json::Arr(
-                        outcome
-                            .trace
-                            .checkpoints
-                            .iter()
-                            .map(|&c| Json::UInt(c))
-                            .collect(),
-                    ),
-                ),
-                (
-                    "best".into(),
-                    Json::Arr(outcome.trace.best.iter().map(|&b| Json::Num(b)).collect()),
-                ),
-            ]),
-        ),
-    ])
+/// [`solve_response`] for a weighted job.
+///
+/// Kept as a named entry point because the `ladderbench` benchmark
+/// calls it.
+pub fn weighted_solve_response(job: &SolveJob<WeightedGraph>, outcome: &SolveOutcome<f64>) -> Json {
+    solve_response(job, outcome)
 }
 
 /// Renders a MAX2SAT solution as the deterministic response body.
@@ -1358,6 +1355,16 @@ mod tests {
                 br#"{"graph": {"weighted_edges": [[0, 4294967294, 1.0]]}, "budget": 8}"#,
                 "exceeding the server limit",
             ),
+            // Ids past u32 are rejected, not truncated onto a small
+            // vertex (here 2^32 + 1 would alias vertex 1 of n = 5).
+            (
+                br#"{"graph": {"weighted_edges": [[0, 4294967297, 1.0]], "n": 5}, "budget": 8}"#,
+                "exceeds the supported range",
+            ),
+            (
+                br#"{"graph": {"edges": [[0, 4294967297]], "n": 5}, "budget": 8}"#,
+                "exceeds the supported range",
+            ),
             (
                 br#"{"graph": {"weighted_edges": []}, "budget": 8}"#,
                 "no edges",
@@ -1494,13 +1501,9 @@ mod tests {
             Workload::WeightedMaxCut(job) => job,
             other => panic!("expected weighted, got {other:?}"),
         };
-        let outcome = snc_maxcut::solve_weighted(&job.graph, &job.spec).unwrap();
-        let a = weighted_solve_response(&job, &outcome).render();
-        let b = weighted_solve_response(
-            &job,
-            &snc_maxcut::solve_weighted(&job.graph, &job.spec).unwrap(),
-        )
-        .render();
+        let outcome = snc_maxcut::solve(&job.graph, &job.spec).unwrap();
+        let a = solve_response(&job, &outcome).render();
+        let b = solve_response(&job, &snc_maxcut::solve(&job.graph, &job.spec).unwrap()).render();
         assert_eq!(a, b, "identical request ⇒ identical body");
         let parsed = snc_experiments::json::parse(&a).unwrap();
         assert_eq!(parsed.get("weighted").and_then(Json::as_bool), Some(true));

@@ -5,7 +5,8 @@
 //! has a "cut of 1765" on a 54-vertex web. This example runs the weighted
 //! solver stack (weighted GW SDP + the same circuits, weighted Trevisan)
 //! on calibrated weighted stand-ins, bringing the measured magnitudes into
-//! the paper's range.
+//! the paper's range. The circuits and `sample_best_trace` are the ones
+//! the unweighted graphs use; on a `WeightedGraph` they record `f64` cuts.
 //!
 //! ```text
 //! cargo run --release --example weighted_graphs
@@ -13,12 +14,11 @@
 
 use snc::snc_graph::EmpiricalDataset;
 use snc::snc_linalg::SdpConfig;
-use snc::snc_maxcut::weighted::{
-    sample_best_trace_weighted, solve_gw_weighted, solve_trevisan_weighted,
-    WeightedLifTrevisanCircuit,
+use snc::snc_maxcut::weighted::{solve_gw_weighted, solve_trevisan_weighted};
+use snc::snc_maxcut::{
+    log2_checkpoints, sample_best_trace, GwSampler, LifGwCircuit, LifGwConfig, LifTrevisanCircuit,
+    LifTrevisanConfig, RandomCutSampler,
 };
-use snc::snc_maxcut::{log2_checkpoints, GwSampler, LifGwCircuit, LifGwConfig, LifTrevisanConfig,
-    RandomCutSampler};
 
 fn main() {
     let budget = 2048;
@@ -36,19 +36,17 @@ fn main() {
         let sol = solve_gw_weighted(&g, &SdpConfig::default()).expect("SDP converges");
         let mut software = GwSampler::new(sol.factors.clone(), 1);
         let solver_best =
-            sample_best_trace_weighted(&mut software, &g, &checkpoints).final_best();
+            sample_best_trace(&mut software, &g, &checkpoints).final_best();
         let mut lif_gw = LifGwCircuit::new(&sol.factors, 2, &LifGwConfig::default());
         let lif_gw_best =
-            sample_best_trace_weighted(&mut lif_gw, &g, &checkpoints).final_best();
+            sample_best_trace(&mut lif_gw, &g, &checkpoints).final_best();
 
         // Weighted LIF-Trevisan: entirely online, weighted Trevisan matrix.
-        let mut lif_tr = WeightedLifTrevisanCircuit::new(&g, 3, &LifTrevisanConfig::default());
-        let lif_tr_best =
-            sample_best_trace_weighted(&mut lif_tr, &g, &checkpoints).final_best();
+        let mut lif_tr = LifTrevisanCircuit::new(&g, 3, &LifTrevisanConfig::default());
+        let lif_tr_best = sample_best_trace(&mut lif_tr, &g, &checkpoints).final_best();
 
         let mut random = RandomCutSampler::new(g.n(), 4);
-        let random_best =
-            sample_best_trace_weighted(&mut random, &g, &checkpoints).final_best();
+        let random_best = sample_best_trace(&mut random, &g, &checkpoints).final_best();
 
         println!(
             "{:<14} {:>8} {:>12.1} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>12}",

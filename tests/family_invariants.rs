@@ -6,17 +6,18 @@
 //! land without inheriting every contract.
 
 use proptest::prelude::*;
-use snc::snc_devices::SplitMix64;
+use snc::snc_devices::{DeviceModel, SplitMix64};
 use snc::snc_graph::generators::erdos_renyi::gnp;
 use snc::snc_graph::weighted::{randomize_weights, WeightDistribution};
-use snc::snc_graph::Graph;
+use snc::snc_graph::{CutAssignment, Graph};
 use snc::snc_maxcut::sampling::CutSampler;
 use snc::snc_maxcut::{
-    solve, solve_gw, solve_weighted, BatchedHopfieldCircuit, BatchedLifAnnealedCircuit,
-    BatchedLifGwCircuit, BatchedLifTrevisanCircuit, CircuitFamily, GwConfig, HopfieldCircuit,
-    HopfieldConfig, LifAnnealedCircuit, LifAnnealedConfig, LifGwCircuit, LifGwConfig,
-    LifTrevisanCircuit, LifTrevisanConfig, SolveSpec,
+    solve, solve_gw, BatchedHopfieldCircuit, BatchedLifAnnealedCircuit, BatchedLifGwCircuit,
+    BatchedLifTrevisanCircuit, CircuitFamily, GwConfig, HopfieldCircuit, HopfieldConfig,
+    LifAnnealedCircuit, LifAnnealedConfig, LifGwCircuit, LifGwConfig, LifTrevisanCircuit,
+    LifTrevisanConfig, SolveSpec,
 };
+use snc::snc_neuro::{CscWeights, TwoStageNetwork};
 
 /// Strategy: a connected-ish random graph on 4–12 vertices with at
 /// least one edge (a ring plus random chords).
@@ -68,7 +69,7 @@ proptest! {
         }
     }
 
-    /// The same contracts on weighted graphs through `solve_weighted`
+    /// The same contracts on weighted graphs through the same `solve`
     /// (non-negative weights so all four families dispatch).
     #[test]
     fn every_family_solves_weighted_graphs_consistently(
@@ -79,7 +80,7 @@ proptest! {
             .expect("weighting");
         for family in CircuitFamily::all() {
             let s = spec(family, seed);
-            let outcome = solve_weighted(&wg, &s).expect("solve_weighted");
+            let outcome = solve(&wg, &s).expect("solve");
             prop_assert_eq!(outcome.best_cut.sides().len(), wg.n());
             let recomputed = wg.cut_value(&outcome.best_cut);
             prop_assert!(
@@ -87,7 +88,7 @@ proptest! {
                 "family {:?}: reported {} vs recomputed {}",
                 family, outcome.best_value, recomputed
             );
-            let again = solve_weighted(&wg, &s).expect("solve_weighted");
+            let again = solve(&wg, &s).expect("solve");
             prop_assert_eq!(outcome.best_value.to_bits(), again.best_value.to_bits());
             prop_assert_eq!(outcome.best_cut.sides(), again.best_cut.sides());
         }
@@ -96,7 +97,8 @@ proptest! {
 
 /// A single-replica batched circuit must reproduce the sequential
 /// circuit of the same seed sample for sample, for every family with a
-/// batched path.
+/// batched path, and weighted LIF-Trevisan batches of width 1 and 8
+/// must reproduce their sequential oracles replica for replica.
 #[test]
 fn single_replica_batches_match_sequential_circuits() {
     let g = gnp(14, 0.4, 11).unwrap();
@@ -132,6 +134,35 @@ fn single_replica_batches_match_sequential_circuits() {
     let mut sequential = HopfieldCircuit::new(&g, seed, &hop_cfg);
     for _ in 0..SAMPLES {
         assert_eq!(batched.next_cuts()[0], sequential.next_cut(), "hopfield");
+    }
+
+    // Weighted LIF-Trevisan runs batched like every other family. The
+    // oracle is the sequential two-stage network programmed with the
+    // independently built, triplet-based weighted Trevisan matrix.
+    let wg = randomize_weights(&g, WeightDistribution::Uniform { lo: 0.5, hi: 2.0 }, 13)
+        .expect("weighting");
+    for replicas in [1u64, 8] {
+        let seeds: Vec<u64> = (0..replicas).map(|r| SplitMix64::derive(seed, r)).collect();
+        let mut batched = BatchedLifTrevisanCircuit::new(&wg, &seeds, &tr_cfg);
+        let mut oracles: Vec<TwoStageNetwork> = seeds
+            .iter()
+            .map(|&s| {
+                let weights = CscWeights::trevisan_weighted(&wg, tr_cfg.network.weight_scale);
+                TwoStageNetwork::from_weights(weights, DeviceModel::fair(), None, s, tr_cfg.network)
+            })
+            .collect();
+        for sample in 0..SAMPLES {
+            let cuts = batched.next_cuts();
+            for (r, oracle) in oracles.iter_mut().enumerate() {
+                oracle.run_updates(tr_cfg.updates_per_sample);
+                let expected = CutAssignment::from_signs(oracle.readout_weights());
+                let at = format!("weighted lif-trevisan R={replicas} sample {sample} replica {r}");
+                assert_eq!(cuts[r], expected, "{at}");
+                let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let (got, want) = (batched.readout_weights(r), oracle.readout_weights());
+                assert_eq!(bits(got), bits(want), "{at}");
+            }
+        }
     }
 }
 
