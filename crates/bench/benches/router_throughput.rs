@@ -23,10 +23,11 @@
 //!
 //! The timed groups drive **persistent** client connections admitted
 //! before timing starts (see [`Client`]); the PR 7 shape reconnected
-//! every iteration, which phase-locks to the router's 50 ms
-//! accept-poll tick and quantizes every sub-50 ms iteration to one
-//! tick. PR 10 numbers are therefore not comparable to the PR 7 rows
-//! — the cross-PR claim is recomputed in `results/BENCH_PR10.json`.
+//! every iteration, which phase-locked to the 50 ms accept-poll tick
+//! the router had before it ran on the reactor and quantized every
+//! sub-50 ms iteration to one tick. PR 10 numbers are therefore not
+//! comparable to the PR 7 rows — the cross-PR claim is recomputed in
+//! `results/BENCH_PR10.json`.
 //!
 //! Caveat for the ledger: on a single-core container the backend
 //! processes share one CPU, so adding backends cannot add parallel
@@ -98,12 +99,10 @@ fn read_response(reader: &mut BufReader<TcpStream>) -> String {
 }
 
 /// A persistent keep-alive client connection. The timed groups reuse
-/// these across iterations: the router admits *new* client connections
-/// on a 50 ms accept-poll cadence, so a bench shape that reconnects
-/// per iteration phase-locks to that tick (every iteration under 50 ms
-/// of real work measures as exactly one poll period, masking the
-/// per-request hop entirely). Holding the clients open keeps the timed
-/// region to the steady-state path: request → ring → forward → relay.
+/// these across iterations, which keeps connection admission out of
+/// the timed region (and kept the PR 10 rows clear of the 50 ms
+/// accept-poll tick the router had before it ran on the reactor): the
+/// timed path is the steady state, request → ring → forward → relay.
 struct Client {
     writer: TcpStream,
     reader: BufReader<TcpStream>,

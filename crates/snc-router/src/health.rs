@@ -18,7 +18,7 @@
 //! demoted after `down_after` observations from either source.
 
 use parking_lot::Mutex;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -170,6 +170,9 @@ impl HealthTable {
     }
 }
 
+/// Bytes a probe reads looking for the status line.
+const PROBE_LINE_BYTES: u64 = 1024;
+
 /// One `GET /healthz` probe: TCP connect with timeout, minimal request,
 /// success ⇔ an `HTTP/1.1 200` status line within the read timeout.
 pub fn probe_backend(addr: SocketAddr, timeout: Duration) -> bool {
@@ -189,8 +192,10 @@ pub fn probe_backend(addr: SocketAddr, timeout: Duration) -> bool {
     {
         return false;
     }
+    // Only the status line matters; a `Take` bounds it, so a peer that
+    // never sends a newline cannot grow it without limit.
     let mut line = String::new();
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(stream.take(PROBE_LINE_BYTES));
     reader.read_line(&mut line).is_ok() && line.starts_with("HTTP/1.1 200")
 }
 

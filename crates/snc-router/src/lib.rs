@@ -23,9 +23,10 @@
 //! * [`health`] — per-backend up/down hysteresis fed by both probes
 //!   and live proxy outcomes, plus the traffic counters `/healthz`
 //!   reports.
-//! * [`proxy`] — the edge process: acceptor, keyed forwarding with
-//!   bounded retry-on-another-replica, job-id re-keying, aggregated
-//!   health.
+//! * [`proxy`] — the edge process: the routing service it runs on
+//!   the backends' reactor ([`snc_server::event`]), keyed forwarding
+//!   with bounded retry-on-another-replica, job-id re-keying,
+//!   aggregated health.
 //! * [`pool`] — per-backend keep-alive connection pool (bounded idle
 //!   stacks, stale-retry accounting, drain-on-demotion).
 //! * [`metrics`] — the edge's `/metrics` registry (request latency

@@ -2,8 +2,10 @@
 //! process, rendered by `GET /metrics`.
 //!
 //! Same split as the backend's `snc_server::metrics`: per-request
-//! latency histograms are recorded live on the connection threads;
-//! tallies that already live in the [`crate::health::HealthTable`]
+//! latency histograms and the reactor's instruments
+//! (`snc_reactor_*`, `snc_router_connections_{reaped,shed}_total`) are
+//! recorded live by the reactor the edge runs on; tallies that already
+//! live in the [`crate::health::HealthTable`]
 //! (routed/retried/failed, per-backend traffic, up/down state) are
 //! mirrored onto the registry at scrape time, keeping `/healthz` the
 //! compatibility surface and the hot path free of double bookkeeping.

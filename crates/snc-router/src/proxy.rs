@@ -1,26 +1,38 @@
-//! The edge process: acceptor, per-connection loop, fingerprint
-//! routing, bounded-retry forwarding, and aggregated health reporting.
+//! The edge process: fingerprint routing, bounded-retry forwarding, and
+//! aggregated health reporting, served on the same reactor as the
+//! backends ([`snc_server::event`]).
 //!
 //! ## Data flow
 //!
 //! ```text
-//! client ──▶ TcpListener ──accept──▶ connection thread (keep-alive loop)
-//!                 │                        │ parse (snc_server::http + wire)
-//!                 │                        ▼
-//!                 │            ResponseKey::payload_fold (the shard key)
-//!                 │                        ▼
-//!                 │            HashRing::candidates(key) ∩ live backends
-//!                 │                        │ attempt 1 … 1+retries
-//!                 │                        ▼
-//!                 │            ConnectionPool::checkout (keep-alive reuse;
-//!                 │                 │       fresh connect on empty stack)
-//!                 │                 │ stale reused conn ──▶ one fresh retry,
-//!                 │                 │                       same backend
-//!                 │                 │ connect/read error ──▶ next candidate
-//!                 │                 │ 5xx               ──▶ next candidate
-//!                 │                 ▼
-//!                 └──◀── relay backend body byte-for-byte ◀──┘
+//! client ──▶ reactor loop (snc_server::event, one thread; budget,
+//!                 │         idle reaper, keep-alive, pipelining)
+//!                 │  incremental parse (http::RequestParser)
+//!                 ▼
+//!            Router::route: /healthz, /metrics, /, 4xx ── INLINE ──────┐
+//!                 │ /solve, /jobs, /jobs/{id}                          │
+//!                 ▼                                                    │
+//!            forward thread (one per in-flight forward; the            │
+//!                 │          connection parks off the poller)          │
+//!                 │ wire parse → ResponseKey::payload_fold (shard key) │
+//!                 ▼                                                    │
+//!            HashRing::candidates(key) ∩ live backends                 │
+//!                 │ attempt 1 … 1+retries                              │
+//!                 ▼                                                    │
+//!            ConnectionPool::checkout (keep-alive reuse;               │
+//!                 │       fresh connect on empty stack)                │
+//!                 │ stale reused conn ──▶ one fresh retry, same backend│
+//!                 │ connect/read error ──▶ next candidate              │
+//!                 │ 5xx               ──▶ next candidate               │
+//!                 ▼                                                    │
+//!            Completion → Mailbox + wakeup pipe                        │
+//!                 ▼                                                    ▼
+//!            reactor relays the backend body byte-for-byte ◀──────────┘
 //! ```
+//!
+//! Forward concurrency is one thread per connection with a request in
+//! flight; idle keep-alive clients cost no thread. The backend client
+//! stays blocking: the hop it adds is small next to any solve.
 //!
 //! Backend responses are framed **strictly**: the status line must be
 //! `HTTP/1.1 <100–599>`, duplicate or conflicting `Content-Length`
@@ -28,7 +40,8 @@
 //! legal when the backend explicitly said `Connection: close` (the one
 //! case where read-to-EOF framing is unambiguous). Anything looser
 //! would corrupt the stream the moment a connection carries a second
-//! request.
+//! request. Allocation follows the bytes received, never a declared
+//! length: the head is read under its byte cap, the body as it arrives.
 //!
 //! The router never re-renders a solve response: the backend's body is
 //! relayed untouched, so the byte-identical wire contract survives the
@@ -49,62 +62,83 @@ use crate::metrics::RouterMetrics;
 use crate::pool::{BackendConn, ConnectionPool};
 use crate::ring::HashRing;
 use snc_experiments::json::{self, Json};
-use snc_metrics::{AccessLog, RequestIds};
-use snc_server::http::{self, HttpError, Request};
-use snc_server::wire::{self, Workload};
+use snc_metrics::Histogram;
+use snc_server::event::{
+    self, Completion, Mailbox, Reactor, ReactorHandle, ReplyTo, ResponseMeta, Routed, Service,
+};
+use snc_server::http::{HttpError, Request};
+use snc_server::wire::{self, RequestDefaults};
 use snc_server::ServerConfig;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::thread::JoinHandle;
 
-/// How often blocked reads and the acceptor wake to check the shutdown
-/// flag (mirrors `snc-server`).
-const POLL_INTERVAL: Duration = Duration::from_millis(50);
-
-/// Shared state every router connection thread sees.
+/// State the router's routes and its forward threads share.
 struct Shared {
     cfg: RouterConfig,
-    defaults: snc_server::wire::RequestDefaults,
+    defaults: RequestDefaults,
     ring: HashRing,
     health: Arc<HealthTable>,
     pool: Arc<ConnectionPool>,
-    shutdown: Arc<AtomicBool>,
     metrics: RouterMetrics,
-    request_ids: RequestIds,
-    access_log: Option<AccessLog>,
 }
 
+/// The service the reactor routes into.
+struct Router {
+    shared: Arc<Shared>,
+    mailbox: Arc<Mailbox>,
+}
+
+/// A relayed reply: status, body, and the labels it records under.
+type Reply = Result<(u16, String, ResponseMeta), HttpError>;
+
+/// The edge's idle deadline. Longer than a backend's 30 s: backends
+/// only see the router's pool, which retires parked sockets after 10 s,
+/// while edge clients hold keep-alive connections idle between bursts
+/// (the request-ladder benchmark keeps one idle across its whole timed
+/// run).
+const EDGE_IDLE_TIMEOUT_MS: u64 = 120_000;
+
 /// A running router. Dropping the handle shuts it down gracefully
-/// (acceptor and prober stopped, in-flight proxied requests finished).
+/// (reactor stopped after in-flight forwards finish, prober stopped).
 pub struct RouterHandle {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
-    prober: Option<std::thread::JoinHandle<()>>,
+    reactor: ReactorHandle,
+    prober_stop: Arc<AtomicBool>,
+    prober: Option<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for RouterHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RouterHandle").field("addr", &self.addr).finish()
+        f.debug_struct("RouterHandle")
+            .field("addr", &self.reactor.addr())
+            .finish()
     }
 }
 
-/// Binds the edge listener, starts the acceptor and the health prober.
+/// Binds the edge listener, starts the reactor and the health prober.
+///
+/// The reactor enforces a default backend's connection budget
+/// (`ServerConfig::default()`: 1024 connections) with the edge's own
+/// bind address, body cap, access log, and a 2-minute idle deadline
+/// (longer than a backend's: edge clients idle between bursts).
 ///
 /// # Errors
 ///
-/// Propagates socket bind failures.
+/// Propagates socket bind, poller, and access-log failures.
 pub fn serve_router(cfg: RouterConfig) -> std::io::Result<RouterHandle> {
-    let listener = TcpListener::bind(&cfg.addr)?;
-    let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
-    let access_log = match &cfg.access_log {
-        Some(path) => Some(AccessLog::open_rotating(path, cfg.access_log_max_bytes)?),
-        None => None,
+    let edge = ServerConfig {
+        addr: cfg.addr.clone(),
+        replicas: cfg.replicas,
+        max_body_bytes: cfg.max_body_bytes,
+        access_log: cfg.access_log.clone(),
+        access_log_max_bytes: cfg.access_log_max_bytes,
+        idle_timeout_ms: EDGE_IDLE_TIMEOUT_MS,
+        ..ServerConfig::default()
     };
-    let shutdown = Arc::new(AtomicBool::new(false));
+    let metrics = RouterMetrics::new();
+    let reactor = Reactor::bind(&edge, &metrics.registry, "router")?;
     let health = Arc::new(HealthTable::new(
         cfg.backends.len(),
         cfg.down_after,
@@ -117,75 +151,64 @@ pub fn serve_router(cfg: RouterConfig) -> std::io::Result<RouterHandle> {
         cfg.connect_timeout,
         cfg.backend_read_timeout,
     ));
+    let prober_stop = Arc::new(AtomicBool::new(false));
     let prober = {
         let backends: Vec<SocketAddr> = cfg.backends.iter().map(|b| b.addr).collect();
         let table = Arc::clone(&health);
         let interval = cfg.probe_interval;
         let timeout = cfg.probe_timeout;
-        let flag = Arc::clone(&shutdown);
+        let flag = Arc::clone(&prober_stop);
         // Demotions (from probes) drain the victim's pooled sockets, so
         // a down backend can never answer a first stale request after
         // re-admission.
         let drain_pool = Arc::clone(&pool);
-        std::thread::spawn(move || {
+        move || {
             probe_loop(backends, table, interval, timeout, flag, move |backend| {
                 drain_pool.drain(backend);
             });
-        })
-    };
-    let shared = Arc::new(Shared {
-        // Parse with the same limits a default backend enforces, so the
-        // edge rejects exactly what the fleet would.
-        defaults: ServerConfig {
-            replicas: cfg.replicas,
-            ..ServerConfig::default()
         }
-        .request_defaults(),
-        ring: HashRing::new(&cfg.weights(), cfg.vnodes),
-        health,
-        pool,
-        shutdown: Arc::clone(&shutdown),
-        metrics: RouterMetrics::new(),
-        request_ids: RequestIds::from_env(),
-        access_log,
-        cfg,
-    });
-    let acceptor = std::thread::spawn(move || accept_loop(&listener, &shared));
+    };
+    let router = Router {
+        shared: Arc::new(Shared {
+            // Parse with the same limits a default backend enforces, so
+            // the edge rejects exactly what the fleet would.
+            defaults: edge.request_defaults(),
+            ring: HashRing::new(&cfg.weights(), cfg.vnodes),
+            health,
+            pool,
+            metrics,
+            cfg,
+        }),
+        mailbox: Arc::clone(reactor.transport().mailbox()),
+    };
+    let reactor = reactor.spawn(router)?;
     Ok(RouterHandle {
-        addr,
-        shutdown,
-        acceptor: Some(acceptor),
-        prober: Some(prober),
+        reactor,
+        prober_stop,
+        prober: Some(std::thread::spawn(prober)),
     })
 }
 
 impl RouterHandle {
     /// The actual bound edge address (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.reactor.addr()
     }
 
-    /// Requests a graceful shutdown and blocks until the acceptor,
-    /// connection threads, and prober have exited.
+    /// Requests a graceful shutdown and blocks until the reactor (with
+    /// its in-flight forwards) and the prober have exited.
     pub fn shutdown(mut self) {
         self.stop();
     }
 
     /// Blocks until the router exits (the binary's serve-forever mode).
     pub fn join(mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        if let Some(prober) = self.prober.take() {
-            let _ = prober.join();
-        }
+        self.reactor.join();
     }
 
     fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
+        self.reactor.shutdown();
+        self.prober_stop.store(true, Ordering::SeqCst);
         if let Some(prober) = self.prober.take() {
             let _ = prober.join();
         }
@@ -198,239 +221,105 @@ impl Drop for RouterHandle {
     }
 }
 
-/// Accepts client connections until shutdown, then joins every
-/// connection thread (mirrors the backend's acceptor).
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                connections.retain(|handle| !handle.is_finished());
-                let shared = Arc::clone(shared);
-                connections.push(std::thread::spawn(move || serve_connection(stream, &shared)));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-                connections.retain(|handle| !handle.is_finished());
-            }
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
-        }
-    }
-    for handle in connections {
-        let _ = handle.join();
-    }
-}
-
-/// The per-connection HTTP/1.1 keep-alive loop (same shape as the
-/// backend's; the work inside `route` is proxying instead of solving).
-fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let should_abort = || shared.shutdown.load(Ordering::SeqCst);
-    loop {
-        match http::read_request(
-            &mut reader,
-            &mut writer,
-            shared.cfg.max_body_bytes,
-            &should_abort,
-        ) {
-            Ok(Some(request)) => {
-                let keep_alive = request.keep_alive && !should_abort();
-                let started = Instant::now();
-                // The edge is where ids are minted: honor a well-formed
-                // client-supplied id, otherwise coin one. The same id
-                // travels on every backend attempt (including retries),
-                // which is what makes cross-tier correlation work.
-                let request_id = match request.request_id.as_deref() {
-                    Some(id) if snc_metrics::valid_request_id(id) => id.to_string(),
-                    _ => shared.request_ids.mint(),
-                };
-                let (status, body, meta) = match route(&request, &request_id, shared) {
-                    Ok(reply) => reply,
-                    Err(e) => (
-                        e.status,
-                        wire::error_body(&e.message),
-                        error_meta(&request.path),
-                    ),
-                };
-                let elapsed = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                shared
-                    .metrics
-                    .request_duration(meta.route, meta.family, meta.outcome)
-                    .record(elapsed);
-                if let Some(log) = &shared.access_log {
-                    log.write(&format!(
-                        "id={request_id} route={} family={} outcome={} status={status} us={elapsed}",
-                        meta.route, meta.family, meta.outcome
-                    ));
+/// `/healthz`, `/metrics`, `/`, and 4xx answer inline on the reactor;
+/// `/solve`, `/jobs`, and `/jobs/{id}` are forwarded off it.
+impl Service for Router {
+    fn route(
+        &self,
+        request: &Request,
+        request_id: &str,
+        reply_to: ReplyTo,
+    ) -> Result<Routed, HttpError> {
+        let relay: fn(&Shared, &Request, &str) -> Reply =
+            match (request.method.as_str(), request.path.as_str()) {
+                ("GET", "/healthz") => {
+                    let body = healthz(&self.shared);
+                    return Ok(Routed::Ready(200, body, ResponseMeta::new("healthz")));
                 }
-                let extra = [
-                    ("x-snc-elapsed-us", elapsed.to_string()),
-                    ("x-snc-request-id", request_id),
-                ];
-                let bytes = http::render_response_typed(
-                    status,
-                    meta.content_type,
-                    &extra,
-                    body.as_bytes(),
-                    keep_alive,
-                );
-                if writer
-                    .write_all(&bytes)
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                    || !keep_alive
-                {
-                    return;
+                ("GET", "/metrics") => {
+                    let body = metrics_body(&self.shared);
+                    return Ok(Routed::Ready(200, body, ResponseMeta::exposition()));
                 }
-            }
-            Ok(None) => return,
-            Err(e) => {
-                let body = wire::error_body(&e.message);
-                let _ = http::write_response(&mut writer, e.status, &[], body.as_bytes(), false);
-                return;
-            }
-        }
+                ("POST", "/solve") => solve,
+                ("POST", "/jobs") => submit_job,
+                ("GET", path) if path.starts_with("/jobs/") => poll_job,
+                _ => return event::route_common("snc-router", request),
+            };
+        let shared = Arc::clone(&self.shared);
+        let request = request.clone();
+        // The edge is where ids are minted; the same id travels on every
+        // backend attempt (including retries), which is what makes
+        // cross-tier correlation work.
+        let request_id = request_id.to_string();
+        let on_error = ResponseMeta::error(&request.path);
+        forward(&self.mailbox, reply_to, on_error, move || {
+            relay(&shared, &request, &request_id)
+        })
+    }
+
+    fn request_duration(&self, meta: &ResponseMeta) -> Arc<Histogram> {
+        self.shared
+            .metrics
+            .request_duration(meta.route, meta.family, meta.outcome)
     }
 }
 
-/// Observability labels for one routed request, decided at route time
-/// (mirrors the backend's `ResponseMeta`). `route`/`family`/`outcome`
-/// feed the latency histogram and the access log; `content_type` only
-/// varies for `/metrics`.
-#[derive(Clone, Copy, Debug)]
-struct RouteMeta {
-    route: &'static str,
-    family: &'static str,
-    outcome: &'static str,
-    content_type: &'static str,
+/// Runs one blocking forward on its own thread and delivers the reply
+/// through the reactor's mailbox. An `Err` answers with its status and
+/// `on_error`'s labels; a panic answers 500 the same way — the parked
+/// connection is released on every path.
+///
+/// The thread is detached: it contains its own panic, and its last act
+/// is the delivery the reactor waits for before it exits, so shutdown
+/// still finishes every forward.
+///
+/// # Errors
+///
+/// Answers 503 when the thread cannot be started.
+fn forward(
+    mailbox: &Arc<Mailbox>,
+    reply_to: ReplyTo,
+    on_error: ResponseMeta,
+    work: impl FnOnce() -> Reply + Send + 'static,
+) -> Result<Routed, HttpError> {
+    let mailbox = Arc::clone(mailbox);
+    std::thread::Builder::new()
+        .name("snc-forward".into())
+        .spawn(move || {
+            let reply = std::panic::catch_unwind(std::panic::AssertUnwindSafe(work))
+                .unwrap_or_else(|_| Err(HttpError::new(500, "internal error: forward panicked")));
+            let (status, body, meta) = reply.unwrap_or_else(|e| {
+                (e.status, wire::error_body(&e.message), on_error)
+            });
+            mailbox.deliver(Completion {
+                reply_to,
+                status,
+                body,
+                meta,
+            });
+        })
+        .map(|_| Routed::Dispatched)
+        .map_err(|_| HttpError::new(503, "cannot start a forward, retry later"))
 }
 
-impl RouteMeta {
-    fn new(route: &'static str) -> RouteMeta {
-        RouteMeta {
-            route,
-            family: "none",
-            outcome: "none",
-            content_type: "application/json",
-        }
+/// The labels of a reply a backend authored.
+fn relayed(route: &'static str, family: &'static str) -> ResponseMeta {
+    ResponseMeta {
+        family,
+        outcome: "relayed",
+        ..ResponseMeta::new(route)
     }
 }
 
-/// The stable route label for a request path (bounded cardinality:
-/// unknown paths collapse into `other`).
-fn route_label(path: &str) -> &'static str {
-    match path {
-        "/healthz" => "healthz",
-        "/solve" => "solve",
-        "/jobs" => "jobs",
-        "/metrics" => "metrics",
-        "/" => "index",
-        p if p.starts_with("/jobs/") => "jobs_poll",
-        _ => "other",
-    }
-}
-
-/// Labels for a request that failed routing (4xx/5xx minted edge-side).
-fn error_meta(path: &str) -> RouteMeta {
-    RouteMeta {
-        outcome: "error",
-        ..RouteMeta::new(route_label(path))
-    }
-}
-
-/// The circuit-family label for a parsed solve workload (mirrors the
-/// backend's labelling so the two tiers' series join cleanly).
-fn workload_family(workload: &Workload) -> &'static str {
-    match workload {
-        Workload::MaxCut(job) => job.spec.family.name(),
-        Workload::WeightedMaxCut(job) => job.spec.family.name(),
-        Workload::Max2Sat(_) => "max2sat",
-        Workload::MaxDicut(_) => "maxdicut",
-    }
-}
-
-/// Routes one parsed client request.
-fn route(
-    request: &Request,
-    request_id: &str,
-    shared: &Arc<Shared>,
-) -> Result<(u16, String, RouteMeta), HttpError> {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => Ok((200, healthz(shared), RouteMeta::new("healthz"))),
-        ("GET", "/metrics") => Ok((
-            200,
-            metrics_body(shared),
-            RouteMeta {
-                content_type: "text/plain; version=0.0.4",
-                ..RouteMeta::new("metrics")
-            },
-        )),
-        ("POST", "/solve") => {
-            proxy_keyed(&request.body, "/solve", request_id, shared).map(|(s, b, _, family)| {
-                (
-                    s,
-                    b,
-                    RouteMeta {
-                        family,
-                        outcome: "relayed",
-                        ..RouteMeta::new("solve")
-                    },
-                )
-            })
-        }
-        ("POST", "/jobs") => submit_job(&request.body, request_id, shared),
-        ("GET", path) if path.starts_with("/jobs/") => {
-            poll_job(path, request_id, shared).map(|(s, b)| {
-                (
-                    s,
-                    b,
-                    RouteMeta {
-                        outcome: "relayed",
-                        ..RouteMeta::new("jobs_poll")
-                    },
-                )
-            })
-        }
-        ("GET", "/") => Ok((200, index_body(), RouteMeta::new("index"))),
-        (_, "/healthz" | "/solve" | "/jobs" | "/" | "/metrics") => {
-            Err(HttpError::new(405, "method not allowed"))
-        }
-        (_, path) if path.starts_with("/jobs/") => Err(HttpError::new(405, "method not allowed")),
-        _ => Err(HttpError::new(404, "no such endpoint")),
-    }
-}
-
-fn index_body() -> String {
-    Json::Obj(vec![
-        ("service".into(), Json::str("snc-router")),
-        (
-            "endpoints".into(),
-            Json::Arr(
-                [
-                    "GET /healthz",
-                    "GET /metrics",
-                    "POST /solve",
-                    "POST /jobs",
-                    "GET /jobs/{id}",
-                ]
-                .into_iter()
-                .map(Json::str)
-                .collect(),
-            ),
-        ),
-    ])
-    .render()
+/// `POST /solve`: forward by fingerprint and relay.
+fn solve(shared: &Shared, request: &Request, request_id: &str) -> Reply {
+    proxy_keyed(&request.body, "/solve", request_id, shared)
+        .map(|(status, body, _, family)| (status, body, relayed("solve", family)))
 }
 
 /// The aggregated router health body: fleet status, per-backend state
 /// and counters, and the global routed/retried/failed tallies.
-fn healthz(shared: &Arc<Shared>) -> String {
+fn healthz(shared: &Shared) -> String {
     let backends: Vec<Json> = shared
         .cfg
         .backends
@@ -499,7 +388,7 @@ fn healthz(shared: &Arc<Shared>) -> String {
 /// Renders `GET /metrics`: mirrors the health table's tallies onto the
 /// registry (read from the same sources `/healthz` reports, so the two
 /// surfaces can never disagree), then renders the text exposition.
-fn metrics_body(shared: &Arc<Shared>) -> String {
+fn metrics_body(shared: &Shared) -> String {
     let m = &shared.metrics;
     m.sync_totals(
         shared.health.routed.load(Ordering::Relaxed),
@@ -522,6 +411,22 @@ const MAX_RESPONSE_HEAD_BYTES: usize = 16 * 1024;
 
 fn invalid_data(message: String) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, message)
+}
+
+/// `read_line` through a `Take` of the remaining head budget (plus one
+/// byte, so an overrun is detectable): a newline-free flood stops at the
+/// cap instead of growing the line without bound. Returns the bytes
+/// read (0 at EOF).
+fn read_head_line(
+    reader: &mut BufReader<TcpStream>,
+    budget: &mut usize,
+    line: &mut String,
+) -> std::io::Result<usize> {
+    let n = reader.by_ref().take(*budget as u64 + 1).read_line(line)?;
+    *budget = budget
+        .checked_sub(n)
+        .ok_or_else(|| invalid_data("backend response head too large".to_string()))?;
+    Ok(n)
 }
 
 /// One parsed backend response: status, body, and whether the stream is
@@ -550,8 +455,9 @@ struct BackendResponse {
 ///   is rejected rather than read-to-end (PR 7 read to EOF here, which
 ///   was only ever safe because every connection was close-mode).
 fn read_backend_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<BackendResponse> {
+    let mut head_budget = MAX_RESPONSE_HEAD_BYTES;
     let mut status_line = String::new();
-    if reader.read_line(&mut status_line)? == 0 {
+    if read_head_line(reader, &mut head_budget, &mut status_line)? == 0 {
         return Err(std::io::Error::new(
             std::io::ErrorKind::UnexpectedEof,
             "backend closed before sending a status line",
@@ -575,20 +481,14 @@ fn read_backend_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<B
     }
     let mut content_length: Option<usize> = None;
     let mut connection_close = false;
-    let mut head_bytes = status_line.len();
     let mut line = String::new();
     loop {
         line.clear();
-        let n = reader.read_line(&mut line)?;
-        if n == 0 {
+        if read_head_line(reader, &mut head_budget, &mut line)? == 0 {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "backend closed mid-headers",
             ));
-        }
-        head_bytes += n;
-        if head_bytes > MAX_RESPONSE_HEAD_BYTES {
-            return Err(invalid_data("backend response head too large".to_string()));
         }
         let trimmed = line.trim_end_matches(['\r', '\n']);
         if trimmed.is_empty() {
@@ -619,8 +519,16 @@ fn read_backend_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<B
     }
     let body = match content_length {
         Some(length) => {
-            let mut buf = vec![0u8; length];
-            reader.read_exact(&mut buf)?;
+            // Grows with the bytes that actually arrive: a declared
+            // length is a claim, not an allocation size.
+            let mut buf = Vec::new();
+            reader.by_ref().take(length as u64).read_to_end(&mut buf)?;
+            if buf.len() < length {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    "backend closed mid-body",
+                ));
+            }
             buf
         }
         None if connection_close => {
@@ -732,11 +640,11 @@ fn proxy_keyed(
     body: &[u8],
     path: &str,
     request_id: &str,
-    shared: &Arc<Shared>,
+    shared: &Shared,
 ) -> Result<(u16, String, usize, &'static str), HttpError> {
     let workload =
         wire::parse_request(body, &shared.defaults).map_err(|e| HttpError::new(400, e.0))?;
-    let family = workload_family(&workload);
+    let family = workload.family();
     let key = wire::response_key(&workload).payload_fold();
     let candidates: Vec<usize> = shared
         .ring
@@ -799,17 +707,10 @@ fn encode_job_id(inner: u64, backend: usize, fleet: usize) -> Option<u64> {
 
 /// `POST /jobs`: forward by fingerprint, then re-key the returned job
 /// id so `GET /jobs/{id}` can find the owning backend again.
-fn submit_job(
-    body: &[u8],
-    request_id: &str,
-    shared: &Arc<Shared>,
-) -> Result<(u16, String, RouteMeta), HttpError> {
-    let (status, reply, backend, family) = proxy_keyed(body, "/jobs", request_id, shared)?;
-    let meta = RouteMeta {
-        family,
-        outcome: "relayed",
-        ..RouteMeta::new("jobs")
-    };
+fn submit_job(shared: &Shared, request: &Request, request_id: &str) -> Reply {
+    let (status, reply, backend, family) =
+        proxy_keyed(&request.body, "/jobs", request_id, shared)?;
+    let meta = relayed("jobs", family);
     if status != 202 {
         return Ok((status, reply, meta));
     }
@@ -824,28 +725,26 @@ fn submit_job(
     let Json::Obj(members) = doc else {
         return Err(HttpError::new(500, "backend job ack was not an object"));
     };
-    let rewritten: Vec<(String, Json)> = members
+    Ok((202, rekey(members, routed_id), meta))
+}
+
+/// Re-renders a backend job document with its `id` in the router's id
+/// space.
+fn rekey(members: Vec<(String, Json)>, routed_id: u64) -> String {
+    let rewritten = members
         .into_iter()
-        .map(|(k, v)| {
-            if k == "id" {
-                (k, Json::UInt(routed_id))
-            } else {
-                (k, v)
-            }
-        })
+        .map(|(k, v)| if k == "id" { (k, Json::UInt(routed_id)) } else { (k, v) })
         .collect();
-    Ok((202, Json::Obj(rewritten).render(), meta))
+    Json::Obj(rewritten).render()
 }
 
 /// `GET /jobs/{id}`: decode the owning backend from the router-keyed
 /// id, poll it directly (job affinity — no failover possible), and
 /// re-key the id in the answer.
-fn poll_job(
-    path: &str,
-    request_id: &str,
-    shared: &Arc<Shared>,
-) -> Result<(u16, String), HttpError> {
-    let routed_id: u64 = path
+fn poll_job(shared: &Shared, request: &Request, request_id: &str) -> Reply {
+    let meta = relayed("jobs_poll", "none");
+    let routed_id: u64 = request
+        .path
         .strip_prefix("/jobs/")
         .and_then(|raw| raw.parse().ok())
         .ok_or_else(|| HttpError::new(400, "job id must be an integer"))?;
@@ -867,24 +766,14 @@ fn poll_job(
             let Json::Obj(members) = doc else {
                 return Err(HttpError::new(500, "backend job record was not an object"));
             };
-            let rewritten: Vec<(String, Json)> = members
-                .into_iter()
-                .map(|(k, v)| {
-                    if k == "id" {
-                        (k, Json::UInt(routed_id))
-                    } else {
-                        (k, v)
-                    }
-                })
-                .collect();
             shared.health.observe_success(backend, false);
-            Ok((200, Json::Obj(rewritten).render()))
+            Ok((200, rekey(members, routed_id), meta))
         }
         Ok((404, _)) => Err(HttpError::new(
             404,
             format!("no job {routed_id} (expired or never existed)"),
         )),
-        Ok((status, reply)) => Ok((status, reply)),
+        Ok((status, reply)) => Ok((status, reply, meta)),
         Err(_) => {
             if shared.health.observe_failure(backend, false) {
                 shared.pool.drain(backend);
@@ -900,19 +789,22 @@ fn poll_job(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snc_metrics::Registry;
+    use std::net::TcpListener;
+    use std::time::{Duration, Instant};
 
     /// Serves `raw` bytes to one accepted connection, then closes —
     /// exactly what a hostile or buggy backend on the wire looks like.
+    /// (The write may fail once the parser has given up and closed.)
     fn parse_raw(raw: &[u8]) -> std::io::Result<BackendResponse> {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let raw = raw.to_vec();
         let server = std::thread::spawn(move || {
             let (mut s, _) = listener.accept().unwrap();
-            s.write_all(&raw).unwrap();
+            let _ = s.write_all(&raw);
         });
         let stream = TcpStream::connect(addr).unwrap();
-        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         let mut reader = BufReader::new(stream);
         let result = read_backend_response(&mut reader);
         server.join().unwrap();
@@ -1010,6 +902,28 @@ mod tests {
             b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nbogus header line\r\n\r\nok",
             "\"bogus header line\"",
         );
+    }
+
+    #[test]
+    fn declared_lengths_never_size_an_allocation() {
+        // Both lengths used to be allocated before a body byte was read:
+        // 1 TiB aborted the process, u64::MAX panicked. A short body is
+        // now a clean EOF error.
+        for length in ["1099511627776", "18446744073709551615"] {
+            let raw = format!("HTTP/1.1 200 OK\r\nContent-Length: {length}\r\n\r\nshort");
+            let e = parse_raw(raw.as_bytes()).expect_err("short body accepted");
+            assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "{e}");
+        }
+    }
+
+    #[test]
+    fn newline_free_heads_are_cut_off_at_the_cap() {
+        // A status line or header that never ends is rejected once it
+        // passes the head budget, not buffered until the peer closes.
+        let mut flood = b"HTTP/1.1 200 OK\r\nX-Flood: ".to_vec();
+        flood.extend(std::iter::repeat_n(b'a', 4 * MAX_RESPONSE_HEAD_BYTES));
+        expect_invalid(&flood, "head too large");
+        expect_invalid(&vec![b'H'; 4 * MAX_RESPONSE_HEAD_BYTES], "head too large");
     }
 
     #[test]
@@ -1118,5 +1032,57 @@ mod tests {
             }
         }
         assert_eq!(encode_job_id(u64::MAX, 1, 3), None, "overflow is caught");
+    }
+
+    /// Routes `/panic` to a forward whose work panics; everything else
+    /// answers inline.
+    struct PanickingForwards {
+        mailbox: Arc<Mailbox>,
+    }
+
+    impl Service for PanickingForwards {
+        fn route(&self, request: &Request, _: &str, reply_to: ReplyTo) -> Result<Routed, HttpError> {
+            if request.path == "/panic" {
+                let on_error = ResponseMeta::error(&request.path);
+                forward(&self.mailbox, reply_to, on_error, || panic!("injected forward panic"))
+            } else {
+                Ok(Routed::Ready(200, "{}".into(), ResponseMeta::new("index")))
+            }
+        }
+
+        fn request_duration(&self, _: &ResponseMeta) -> Arc<Histogram> {
+            Arc::new(Histogram::new())
+        }
+    }
+
+    #[test]
+    fn a_panicking_forward_still_answers_5xx_and_frees_the_connection() {
+        let cfg = ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            ..ServerConfig::default()
+        };
+        let reactor = Reactor::bind(&cfg, &Registry::new(), "router").unwrap();
+        let transport = Arc::clone(reactor.transport());
+        let mailbox = Arc::clone(transport.mailbox());
+        let mut handle = reactor.spawn(PanickingForwards { mailbox }).unwrap();
+        let mut client = TcpStream::connect(handle.addr()).unwrap();
+        // The connection survives the panic: the pipelined request
+        // behind it is answered too.
+        client
+            .write_all(b"GET /panic HTTP/1.1\r\n\r\nGET / HTTP/1.1\r\nConnection: close\r\n\r\n")
+            .unwrap();
+        let mut text = String::new();
+        client.read_to_string(&mut text).unwrap();
+        assert!(text.starts_with("HTTP/1.1 500 "), "{text}");
+        assert!(text.contains("forward panicked"), "{text}");
+        assert!(text.contains("HTTP/1.1 200 OK"), "{text}");
+        let metrics = transport.metrics();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while metrics.connections_active.get() != 0 {
+            assert!(Instant::now() < deadline, "connection slot never freed");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(metrics.connections_waiting.get(), 0);
+        handle.shutdown();
     }
 }

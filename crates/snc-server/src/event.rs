@@ -1,6 +1,13 @@
 //! The readiness-driven reactor: one loop thread owns the listener, the
 //! wakeup pipe, and every connection's state machine.
 //!
+//! The reactor is service-agnostic. Both tiers run on it: `snc-server`
+//! (the solve service) and `snc-router` (the sharding edge). A
+//! [`Service`] says how to route one parsed request and which latency
+//! histogram its response records into; everything below that line —
+//! parsing, pipelining, keep-alive, the connection budget, the idle
+//! reaper, request ids, the access log, shutdown — is shared.
+//!
 //! ## Connection state machine
 //!
 //! ```text
@@ -9,7 +16,7 @@
 //!              ▼
 //!        ┌──────────┐  complete request, inline route   ┌──────────┐
 //!   ┌───▶│ Reading  │──────────────────────────────────▶│ Flushing │
-//!   │    │ (READ)   │  solve miss: dispatch to pool     │ (WRITE)  │
+//!   │    │ (READ)   │  Routed::Dispatched               │ (WRITE)  │
 //!   │    └──────────┘──────────────┐                    └──────────┘
 //!   │         │                    ▼                      │      │
 //!   │         │ idle deadline  ┌──────────┐  completion   │      │ close-
@@ -28,35 +35,36 @@
 //!   cycle or write progress does.
 //! * **Flushing** — write interest; the rendered response (and any
 //!   pipelined successors) sit in one out-buffer that resumes across
-//!   partial writes. Connections with both a parked solve and pending
-//!   bytes stay in Flushing.
-//! * **Waiting** — a solve was dispatched to the [`WorkerPool`]; the fd
-//!   is deregistered from the poller entirely (nothing is wanted from
-//!   it, and a level-triggered hangup would otherwise spin the loop), so
-//!   pipelined bytes queue in the kernel buffer — natural backpressure.
-//!   The worker delivers a `Completion` to the `Mailbox` and rings
-//!   the wakeup pipe. Stale completions (the slot was reaped and reused)
-//!   are discarded by generation counter.
+//!   partial writes. Connections with both a parked dispatch and
+//!   pending bytes stay in Flushing.
+//! * **Waiting** — the service dispatched the request off the loop (the
+//!   backend onto its solver pool, the router onto a forward thread);
+//!   the fd is deregistered from the poller entirely (nothing is wanted
+//!   from it, and a level-triggered hangup would otherwise spin the
+//!   loop), so pipelined bytes queue in the kernel buffer — natural
+//!   backpressure. The dispatched work delivers a [`Completion`] to the
+//!   [`Mailbox`] and rings the wakeup pipe. Stale completions (the slot
+//!   was reaped and reused) are discarded by generation counter.
 //!
 //! Pipelined requests are processed strictly in order: one request is
 //! in flight per connection at a time, and responses are appended to
 //! the out-buffer in arrival order, so a pipelined burst is
 //! byte-identical to the same requests issued sequentially.
-//!
-//! [`RequestParser`]: crate::http::RequestParser
-//! [`WorkerPool`]: snc_experiments::runner::WorkerPool
 
-use crate::http::{self, RequestParser};
-use crate::server::{self, ResponseMeta, Routed, Shared};
+use crate::http::{self, HttpError, Request, RequestParser};
+use crate::metrics::ReactorMetrics;
+use crate::server::ServerConfig;
 use crate::sys::{self, Event, Interest, Poller};
 use crate::wire;
-use snc_metrics::Histogram;
+use snc_experiments::json::Json;
+use snc_metrics::{AccessLog, Gauge, Histogram, Registry, RequestIds};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Poller token for the accept socket.
@@ -66,87 +74,357 @@ const WAKEUP_TOKEN: u64 = u64::MAX - 1;
 /// Read chunk size for draining a readable socket.
 const READ_CHUNK: usize = 16 * 1024;
 
+/// What a service plugs into the reactor.
+pub trait Service: Send + Sync + 'static {
+    /// Routes one parsed request: answer [`Routed::Ready`] inline on
+    /// the loop, or hand the work off and answer [`Routed::Dispatched`],
+    /// in which case a [`Completion`] addressed to `reply_to` must later
+    /// be delivered to the reactor's [`Mailbox`] — exactly once, panics
+    /// included, or the connection stays parked. `request_id` is the
+    /// id the response will echo. An `Err` is answered inline with its
+    /// status and the connection stays alive.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`HttpError`] to answer (400/404/405/503 …).
+    fn route(
+        &self,
+        request: &Request,
+        request_id: &str,
+        reply_to: ReplyTo,
+    ) -> Result<Routed, HttpError>;
+
+    /// The latency histogram a response labelled `meta` records into.
+    /// Called once per label cell; the reactor caches the handle.
+    fn request_duration(&self, meta: &ResponseMeta) -> Arc<Histogram>;
+}
+
+/// How [`Service::route`] answered.
+#[derive(Debug)]
+pub enum Routed {
+    /// The reply is ready now: status, body, labels.
+    Ready(u16, String, ResponseMeta),
+    /// The work was handed off; the connection parks until its
+    /// [`Completion`] arrives through the [`Mailbox`].
+    Dispatched,
+}
+
+/// The metric labels (and content type) one response carries: static
+/// strings decided by whoever produced the reply, recorded by the
+/// reactor when the response is queued. Purely observational — never
+/// rendered into a body.
+#[derive(Clone, Copy, Debug)]
+pub struct ResponseMeta {
+    /// Route label (`solve`, `jobs`, `jobs_poll`, `healthz`, `metrics`,
+    /// `index`, `other`).
+    pub route: &'static str,
+    /// Circuit family label (see [`wire::Workload::family`]), or `none`
+    /// for non-solve routes.
+    pub family: &'static str,
+    /// Outcome: `hit` / `miss` at the backend, `relayed` at the router,
+    /// `none` where nothing varies, or `error`.
+    pub outcome: &'static str,
+    /// The `content-type` header value for the response.
+    pub content_type: &'static str,
+}
+
+impl ResponseMeta {
+    /// A JSON response on `route` with no family and no outcome.
+    pub fn new(route: &'static str) -> ResponseMeta {
+        ResponseMeta {
+            route,
+            family: "none",
+            outcome: "none",
+            content_type: "application/json",
+        }
+    }
+
+    /// The `GET /metrics` text exposition.
+    pub fn exposition() -> ResponseMeta {
+        ResponseMeta {
+            content_type: "text/plain; version=0.0.4",
+            ..ResponseMeta::new("metrics")
+        }
+    }
+
+    /// A request that failed routing: same route cell as the success
+    /// path (bounded cardinality: unknown paths collapse into `other`),
+    /// outcome `error`.
+    pub fn error(path: &str) -> ResponseMeta {
+        let route = match path {
+            "/healthz" => "healthz",
+            "/solve" => "solve",
+            "/jobs" => "jobs",
+            "/metrics" => "metrics",
+            "/" => "index",
+            p if p.starts_with("/jobs/") => "jobs_poll",
+            _ => "other",
+        };
+        ResponseMeta {
+            outcome: "error",
+            ..ResponseMeta::new(route)
+        }
+    }
+}
+
+/// The routes both tiers answer the same way, for a `service` that has
+/// already matched its own: `GET /` (the index naming `service`), 405
+/// on a known endpoint with the wrong method, 404 otherwise.
+///
+/// # Errors
+///
+/// Returns the 404/405 for anything but `GET /`.
+pub fn route_common(service: &str, request: &Request) -> Result<Routed, HttpError> {
+    match (request.method.as_str(), request.path.as_str()) {
+        ("GET", "/") => Ok(Routed::Ready(200, index_body(service), ResponseMeta::new("index"))),
+        (_, "/healthz" | "/solve" | "/jobs" | "/" | "/metrics") => {
+            Err(HttpError::new(405, "method not allowed"))
+        }
+        (_, path) if path.starts_with("/jobs/") => Err(HttpError::new(405, "method not allowed")),
+        _ => Err(HttpError::new(404, "no such endpoint")),
+    }
+}
+
+fn index_body(service: &str) -> String {
+    Json::Obj(vec![
+        ("service".into(), Json::str(service)),
+        (
+            "endpoints".into(),
+            Json::Arr(
+                [
+                    "GET /healthz",
+                    "GET /metrics",
+                    "POST /solve",
+                    "POST /jobs",
+                    "GET /jobs/{id}",
+                ]
+                .into_iter()
+                .map(Json::str)
+                .collect(),
+            ),
+        ),
+    ])
+    .render()
+}
+
 /// Addressing for a parked connection: which slot, and which occupancy
 /// of that slot. A completion whose generation no longer matches the
 /// slot's is stale (the connection died and the slot was reused) and is
 /// dropped.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct ReplyTo {
-    /// Slot index in the reactor's connection table.
-    pub token: usize,
-    /// Occupancy counter of that slot at dispatch time.
-    pub generation: u64,
+pub struct ReplyTo {
+    token: usize,
+    generation: u64,
 }
 
-/// A finished solve, rendered and ready to frame.
-pub(crate) struct Completion {
-    /// Slot index the request came from.
-    pub token: usize,
-    /// Slot generation at dispatch time.
-    pub generation: u64,
-    /// HTTP status (200, or the mapped solver failure).
+/// A finished dispatch, rendered and ready to frame.
+#[derive(Debug)]
+pub struct Completion {
+    /// The parked connection to answer.
+    pub reply_to: ReplyTo,
+    /// HTTP status.
     pub status: u16,
     /// Response body (already error-rendered on failure).
     pub body: String,
+    /// The labels the response records under.
+    pub meta: ResponseMeta,
 }
 
-/// Where workers leave completions for the reactor, paired with the
-/// wakeup pipe that interrupts its wait. This is the only channel
-/// between worker threads and the loop.
-pub(crate) struct Mailbox {
+/// Where dispatched work leaves completions for the reactor, paired
+/// with the wakeup pipe that interrupts its wait. This is the only
+/// channel between other threads and the loop.
+#[derive(Debug)]
+pub struct Mailbox {
     completions: Mutex<Vec<Completion>>,
     wakeup: sys::Wakeup,
+    depth: Arc<Gauge>,
 }
 
 impl Mailbox {
-    /// Opens the mailbox and its wakeup pipe.
-    pub(crate) fn new() -> io::Result<Mailbox> {
+    fn new(depth: Arc<Gauge>) -> io::Result<Mailbox> {
         Ok(Mailbox {
             completions: Mutex::new(Vec::new()),
             wakeup: sys::Wakeup::new()?,
+            depth,
         })
     }
 
     /// Queues a completion and interrupts the reactor's wait.
-    pub(crate) fn deliver(&self, completion: Completion) {
-        self.completions
+    pub fn deliver(&self, completion: Completion) {
+        let mut completions = self
+            .completions
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(completion);
-        self.wakeup.notify();
-    }
-
-    /// Interrupts the reactor's wait with nothing attached (shutdown).
-    pub(crate) fn ring(&self) {
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        completions.push(completion);
+        self.depth.set(completions.len() as i64);
+        drop(completions);
         self.wakeup.notify();
     }
 
     /// Takes every pending completion and clears the wakeup pipe.
     fn drain(&self) -> Vec<Completion> {
         self.wakeup.drain();
-        std::mem::take(
-            &mut *self
-                .completions
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        )
-    }
-
-    /// Completions currently queued (a scrape-time gauge read).
-    pub(crate) fn depth(&self) -> usize {
-        self.completions
+        let mut completions = self
+            .completions
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        self.depth.set(0);
+        std::mem::take(&mut *completions)
     }
 }
 
-/// A parked request: the solve is on the pool; remember how to frame
-/// the eventual reply (and how to label it when it lands).
-struct Waiting {
+/// The state the reactor shares with its service and with dispatched
+/// work: limits, the mailbox, the shutdown flag, the reactor metrics,
+/// request-id minting, and the access log.
+#[derive(Debug)]
+pub struct Transport {
+    max_connections: usize,
+    idle: Duration,
+    max_body_bytes: usize,
+    send_buffer_bytes: usize,
+    backend: &'static str,
+    mailbox: Arc<Mailbox>,
+    shutdown: AtomicBool,
+    metrics: ReactorMetrics,
+    request_ids: RequestIds,
+    access_log: Option<AccessLog>,
+}
+
+impl Transport {
+    /// Where dispatched work delivers its [`Completion`]s.
+    pub fn mailbox(&self) -> &Arc<Mailbox> {
+        &self.mailbox
+    }
+
+    /// The live reactor instruments (connection gauges, reaper and
+    /// shedding totals, tick timers).
+    pub fn metrics(&self) -> &ReactorMetrics {
+        &self.metrics
+    }
+
+    /// Which readiness backend the loop runs (`"epoll"`/`"poll"`).
+    pub fn backend(&self) -> &'static str {
+        self.backend
+    }
+}
+
+/// A bound listener and poller, not yet serving: build the service
+/// around [`Reactor::transport`], then [`Reactor::spawn`] it.
+#[derive(Debug)]
+pub struct Reactor {
+    listener: TcpListener,
+    poller: Poller,
+    transport: Arc<Transport>,
+}
+
+impl Reactor {
+    /// Binds `cfg.addr` and opens the poller (`cfg.backend`), the wakeup
+    /// pipe, and the access log. The reactor enforces `cfg`'s
+    /// `max_connections`, `idle_timeout_ms`, `max_body_bytes`, and
+    /// `send_buffer_bytes`, and registers its instruments on `registry`
+    /// (`layer` names the service in the reaper/shed totals).
+    ///
+    /// # Errors
+    ///
+    /// Propagates bind, poller, pipe, and access-log failures.
+    pub fn bind(cfg: &ServerConfig, registry: &Registry, layer: &str) -> io::Result<Reactor> {
+        let listener = TcpListener::bind(&cfg.addr)?;
+        listener.set_nonblocking(true)?;
+        let poller = Poller::new(cfg.backend)?;
+        let metrics = ReactorMetrics::register(registry, layer);
+        let access_log = match &cfg.access_log {
+            Some(path) => Some(AccessLog::open_rotating(path, cfg.access_log_max_bytes)?),
+            None => None,
+        };
+        let transport = Arc::new(Transport {
+            max_connections: cfg.max_connections,
+            idle: Duration::from_millis(cfg.idle_timeout_ms.max(1)),
+            max_body_bytes: cfg.max_body_bytes,
+            send_buffer_bytes: cfg.send_buffer_bytes,
+            backend: poller.backend_name(),
+            mailbox: Arc::new(Mailbox::new(Arc::clone(&metrics.mailbox_depth))?),
+            shutdown: AtomicBool::new(false),
+            metrics,
+            request_ids: RequestIds::from_env(),
+            access_log,
+        });
+        Ok(Reactor {
+            listener,
+            poller,
+            transport,
+        })
+    }
+
+    /// The shared state the service (and its dispatched work) uses.
+    pub fn transport(&self) -> &Arc<Transport> {
+        &self.transport
+    }
+
+    /// Starts the loop thread serving `service`, which the thread owns
+    /// and drops as it exits (so joining the reactor also tears the
+    /// service down).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the bound address lookup and thread spawn failures.
+    pub fn spawn<S: Service>(self, service: S) -> io::Result<ReactorHandle> {
+        let addr = self.listener.local_addr()?;
+        let transport = Arc::clone(&self.transport);
+        let thread = std::thread::Builder::new()
+            .name("snc-reactor".into())
+            .spawn(move || run(self, &service))?;
+        Ok(ReactorHandle {
+            addr,
+            transport,
+            thread: Some(thread),
+        })
+    }
+}
+
+/// A running reactor. Dropping it shuts the loop down gracefully.
+#[derive(Debug)]
+pub struct ReactorHandle {
+    addr: SocketAddr,
+    transport: Arc<Transport>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl ReactorHandle {
+    /// The actual bound address (resolves port 0).
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Blocks until the loop exits (never, absent a shutdown).
+    pub fn join(&mut self) {
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+
+    /// Sets the shutdown flag, rings the wakeup pipe — so an idle loop
+    /// wakes immediately, with no polling interval to wait out — and
+    /// joins the loop. It stops accepting, closes idle keep-alive
+    /// connections, finishes dispatched requests and pending writes,
+    /// then exits.
+    pub fn shutdown(&mut self) {
+        self.transport.shutdown.store(true, Ordering::SeqCst);
+        self.transport.mailbox.wakeup.notify();
+        self.join();
+    }
+}
+
+impl Drop for ReactorHandle {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+/// A request being answered: how to frame, time, and label its reply
+/// (kept on the connection while the request is dispatched).
+struct InFlight {
     keep_alive: bool,
     started: Instant,
-    meta: ResponseMeta,
     request_id: String,
 }
 
@@ -161,8 +439,8 @@ struct Conn {
     /// point after a partial write.
     out: Vec<u8>,
     out_pos: usize,
-    /// `Some` while a solve is parked on the worker pool.
-    waiting: Option<Waiting>,
+    /// `Some` while a request is dispatched off the loop.
+    waiting: Option<InFlight>,
     /// Close once `out` drains (response had `Connection: close`, or a
     /// parse error was answered).
     close_after_flush: bool,
@@ -182,10 +460,11 @@ impl Conn {
     }
 }
 
-struct Reactor {
+struct Loop<'s, S> {
     listener: TcpListener,
     poller: Poller,
-    shared: Arc<Shared>,
+    transport: Arc<Transport>,
+    service: &'s S,
     conns: Vec<Option<Conn>>,
     /// Slot indices free for reuse.
     free: Vec<usize>,
@@ -194,34 +473,35 @@ struct Reactor {
     /// tenant within one batch.
     freed_this_tick: Vec<usize>,
     next_generation: u64,
-    idle: Duration,
     accepting: bool,
-    /// Reactor-local cache of request-duration histogram handles keyed
+    /// Loop-local cache of request-duration histogram handles keyed
     /// by `[route, family, outcome]`, so the warm path records with a
     /// hash probe and three relaxed atomics instead of taking the
     /// registry lock.
     request_histograms: HashMap<[&'static str; 3], Arc<Histogram>>,
 }
 
-/// Runs the reactor until shutdown. Consumes the (non-blocking)
-/// listener and the pre-built poller; `shared.mailbox` supplies the
-/// wakeup pipe.
-pub(crate) fn run(listener: TcpListener, poller: Poller, shared: &Arc<Shared>) {
-    let idle = Duration::from_millis(shared.cfg.idle_timeout_ms.max(1));
-    let mut reactor = Reactor {
+/// Runs the reactor until shutdown.
+fn run<S: Service>(reactor: Reactor, service: &S) {
+    let Reactor {
         listener,
         poller,
-        shared: Arc::clone(shared),
+        transport,
+    } = reactor;
+    let mut reactor = Loop {
+        listener,
+        poller,
+        transport,
+        service,
         conns: Vec::new(),
         free: Vec::new(),
         freed_this_tick: Vec::new(),
         next_generation: 0,
-        idle,
         accepting: true,
         request_histograms: HashMap::new(),
     };
     let listener_fd = reactor.listener.as_raw_fd();
-    let wakeup_fd = reactor.shared.mailbox.wakeup.read_fd();
+    let wakeup_fd = reactor.transport.mailbox.wakeup.read_fd();
     if reactor
         .poller
         .add(listener_fd, LISTENER_TOKEN, Interest::READ)
@@ -235,7 +515,7 @@ pub(crate) fn run(listener: TcpListener, poller: Poller, shared: &Arc<Shared>) {
     }
     let mut events: Vec<Event> = Vec::with_capacity(512);
     loop {
-        if reactor.shared.shutdown.load(Ordering::SeqCst) {
+        if reactor.transport.shutdown.load(Ordering::SeqCst) {
             reactor.begin_shutdown();
             if reactor.live_connections() == 0 {
                 break;
@@ -247,9 +527,8 @@ pub(crate) fn run(listener: TcpListener, poller: Poller, shared: &Arc<Shared>) {
             break;
         }
         let work_started = Instant::now();
-        reactor
-            .shared
-            .metrics
+        let metrics = &reactor.transport.metrics;
+        metrics
             .poll_wait_us
             .record(micros(work_started.duration_since(wait_started)));
         for i in 0..events.len() {
@@ -264,12 +543,9 @@ pub(crate) fn run(listener: TcpListener, poller: Poller, shared: &Arc<Shared>) {
         reactor.reap();
         let mut freed = std::mem::take(&mut reactor.freed_this_tick);
         reactor.free.append(&mut freed);
-        reactor
-            .shared
-            .metrics
-            .work_us
-            .record(micros(work_started.elapsed()));
-        reactor.shared.metrics.ticks.inc();
+        let metrics = &reactor.transport.metrics;
+        metrics.work_us.record(micros(work_started.elapsed()));
+        metrics.ticks.inc();
     }
 }
 
@@ -278,7 +554,7 @@ fn micros(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
-impl Reactor {
+impl<S: Service> Loop<'_, S> {
     fn live_connections(&self) -> usize {
         self.conns.iter().flatten().count()
     }
@@ -325,8 +601,8 @@ impl Reactor {
             }
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    let active = self.shared.conn_active.load(Ordering::Relaxed);
-                    if active >= self.shared.cfg.max_connections as u64 {
+                    let active = self.transport.metrics.connections_active.get();
+                    if active >= self.transport.max_connections as i64 {
                         self.shed(&stream);
                     } else {
                         self.admit(stream);
@@ -349,7 +625,7 @@ impl Reactor {
         let bytes = http::render_response(503, &[], body.as_bytes(), false);
         let _ = stream.set_nodelay(true);
         let _ = stream.write_all(&bytes);
-        self.shared.conn_shed.fetch_add(1, Ordering::Relaxed);
+        self.transport.metrics.connections_shed.inc();
     }
 
     fn admit(&mut self, stream: TcpStream) {
@@ -361,21 +637,21 @@ impl Reactor {
         // (~40 ms), which would swamp the microsecond-scale cache-hit
         // path entirely.
         let _ = stream.set_nodelay(true);
-        if self.shared.cfg.send_buffer_bytes > 0 {
-            let _ = sys::set_send_buffer(stream.as_raw_fd(), self.shared.cfg.send_buffer_bytes);
+        if self.transport.send_buffer_bytes > 0 {
+            let _ = sys::set_send_buffer(stream.as_raw_fd(), self.transport.send_buffer_bytes);
         }
         self.next_generation += 1;
         let conn = Conn {
             stream,
             generation: self.next_generation,
-            parser: RequestParser::new(self.shared.cfg.max_body_bytes),
+            parser: RequestParser::new(self.transport.max_body_bytes),
             out: Vec::new(),
             out_pos: 0,
             waiting: None,
             close_after_flush: false,
             read_closed: false,
             registered: None,
-            deadline: Instant::now() + self.idle,
+            deadline: Instant::now() + self.transport.idle,
         };
         let token = match self.free.pop() {
             Some(token) => {
@@ -387,7 +663,7 @@ impl Reactor {
                 self.conns.len() - 1
             }
         };
-        self.shared.conn_active.fetch_add(1, Ordering::Relaxed);
+        self.transport.metrics.connections_active.inc();
         self.apply_interest(token, Some(Interest::READ));
     }
 
@@ -401,13 +677,13 @@ impl Reactor {
             self.poller.remove(conn.stream.as_raw_fd());
         }
         if conn.waiting.is_some() {
-            // A parked connection died before its solve landed; keep
+            // A parked connection died before its reply landed; keep
             // the waiting gauge honest.
-            self.shared.metrics.connections_waiting.dec();
+            self.transport.metrics.connections_waiting.dec();
         }
-        self.shared.conn_active.fetch_sub(1, Ordering::Relaxed);
+        self.transport.metrics.connections_active.dec();
         if reaped {
-            self.shared.conn_reaped.fetch_add(1, Ordering::Relaxed);
+            self.transport.metrics.connections_reaped.inc();
         }
         self.freed_this_tick.push(token);
     }
@@ -508,9 +784,7 @@ impl Reactor {
     /// routing each inline or parking the connection on a dispatch.
     fn process_requests(&mut self, token: usize) {
         loop {
-            let shutting_down = self.shared.shutdown.load(Ordering::SeqCst);
-            let idle = self.idle;
-            let shared = Arc::clone(&self.shared);
+            let shutting_down = self.transport.shutdown.load(Ordering::SeqCst);
             let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
                 return;
             };
@@ -525,85 +799,57 @@ impl Reactor {
                 // pipelining.
                 conn.out.extend_from_slice(http::CONTINUE_INTERIM);
             }
-            match next {
+            let request = match next {
                 Ok(None) => return,
-                Ok(Some(request)) => {
-                    let keep_alive = request.keep_alive && !shutting_down;
-                    // Honor a well-formed client-supplied id (the router
-                    // relies on this to correlate retries across
-                    // backends); mint a fresh one otherwise.
-                    let request_id = match request.request_id.as_deref() {
-                        Some(id) if snc_metrics::valid_request_id(id) => id.to_string(),
-                        _ => shared.request_ids.mint(),
-                    };
-                    let reply_to = ReplyTo {
-                        token,
-                        generation: conn.generation,
-                    };
-                    match server::route(&request, &shared, reply_to) {
-                        Ok(Routed::Ready(status, body, meta)) => {
-                            queue_response(
-                                conn,
-                                idle,
-                                &shared,
-                                &mut self.request_histograms,
-                                status,
-                                &body,
-                                keep_alive,
-                                started,
-                                &meta,
-                                &request_id,
-                            );
-                            if !keep_alive {
-                                conn.close_after_flush = true;
-                            }
-                        }
-                        Ok(Routed::Dispatched(meta)) => {
-                            shared.metrics.connections_waiting.inc();
-                            conn.waiting = Some(Waiting {
-                                keep_alive,
-                                started,
-                                meta,
-                                request_id,
-                            });
-                        }
-                        Err(e) => {
-                            // Routing errors (400/404/405/503) keep the
-                            // connection alive if the client asked for
-                            // keep-alive — exactly like the blocking
-                            // front half did.
-                            let body = wire::error_body(&e.message);
-                            let meta = server::error_meta(&request.path);
-                            queue_response(
-                                conn,
-                                idle,
-                                &shared,
-                                &mut self.request_histograms,
-                                e.status,
-                                &body,
-                                keep_alive,
-                                started,
-                                &meta,
-                                &request_id,
-                            );
-                            if !keep_alive {
-                                conn.close_after_flush = true;
-                            }
-                        }
-                    }
-                }
+                Ok(Some(request)) => request,
                 Err(e) => {
                     // Transport-level parse error: answer without the
-                    // elapsed header and close, matching the blocking
-                    // front half's error path byte for byte.
+                    // tracing headers and close.
                     let body = wire::error_body(&e.message);
                     let bytes = http::render_response(e.status, &[], body.as_bytes(), false);
                     conn.out.extend_from_slice(&bytes);
-                    conn.deadline = Instant::now() + idle;
+                    conn.deadline = Instant::now() + self.transport.idle;
                     conn.close_after_flush = true;
                     return;
                 }
-            }
+            };
+            let keep_alive = request.keep_alive && !shutting_down;
+            // Honor a well-formed client-supplied id (the router relies
+            // on this to correlate retries across backends); mint a
+            // fresh one otherwise.
+            let request_id = match request.request_id.as_deref() {
+                Some(id) if snc_metrics::valid_request_id(id) => id.to_string(),
+                _ => self.transport.request_ids.mint(),
+            };
+            let reply_to = ReplyTo {
+                token,
+                generation: conn.generation,
+            };
+            let (status, body, meta) = match self.service.route(&request, &request_id, reply_to) {
+                Ok(Routed::Ready(status, body, meta)) => (status, body, meta),
+                Ok(Routed::Dispatched) => {
+                    self.transport.metrics.connections_waiting.inc();
+                    conn.waiting = Some(InFlight {
+                        keep_alive,
+                        started,
+                        request_id,
+                    });
+                    continue;
+                }
+                // Routing errors (400/404/405/503) keep the connection
+                // alive if the client asked for keep-alive.
+                Err(e) => (
+                    e.status,
+                    wire::error_body(&e.message),
+                    ResponseMeta::error(&request.path),
+                ),
+            };
+            let answered = InFlight {
+                keep_alive,
+                started,
+                request_id,
+            };
+            self.queue_response(token, &answered, status, &body, &meta);
         }
     }
 
@@ -611,7 +857,7 @@ impl Reactor {
     /// Returns `false` if the connection was closed by a write failure.
     fn flush(&mut self, token: usize) -> bool {
         loop {
-            let idle = self.idle;
+            let idle = self.transport.idle;
             let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
                 return false;
             };
@@ -663,45 +909,33 @@ impl Reactor {
         self.apply_interest(token, want);
     }
 
-    /// Delivers finished solves to their parked connections, dropping
-    /// stale ones (slot closed or reused since dispatch).
+    /// Delivers finished dispatches to their parked connections,
+    /// dropping stale ones (slot closed or reused since dispatch).
     fn drain_completions(&mut self) {
-        let idle = self.idle;
-        for completion in self.shared.mailbox.drain() {
-            let Some(conn) = self
-                .conns
-                .get_mut(completion.token)
-                .and_then(Option::as_mut)
-            else {
+        for completion in self.transport.mailbox.drain() {
+            let token = completion.reply_to.token;
+            let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
                 continue;
             };
-            if conn.generation != completion.generation {
+            if conn.generation != completion.reply_to.generation {
                 continue;
             }
             let Some(waiting) = conn.waiting.take() else {
                 continue;
             };
-            self.shared.metrics.connections_waiting.dec();
-            queue_response(
-                conn,
-                idle,
-                &self.shared,
-                &mut self.request_histograms,
+            self.transport.metrics.connections_waiting.dec();
+            self.queue_response(
+                token,
+                &waiting,
                 completion.status,
                 &completion.body,
-                waiting.keep_alive,
-                waiting.started,
-                &waiting.meta,
-                &waiting.request_id,
+                &completion.meta,
             );
-            if !waiting.keep_alive {
-                conn.close_after_flush = true;
-            }
             // Un-park: resume any pipelined requests that queued behind
-            // this solve, then push bytes.
-            self.process_requests(completion.token);
-            self.flush(completion.token);
-            self.settle(completion.token);
+            // this dispatch, then push bytes.
+            self.process_requests(token);
+            self.flush(token);
+            self.settle(token);
         }
     }
 
@@ -732,45 +966,51 @@ impl Reactor {
             self.close_conn(token, true);
         }
     }
-}
 
-/// Renders and queues one framed response, starting a fresh idle cycle.
-/// Also the single observability funnel for routed requests: records
-/// the latency histogram cell, echoes the request id, and emits the
-/// access-log line. Transport errors (parse 4xx, shed 503, reap 408)
-/// deliberately bypass this — their wire format predates tracing and
-/// stays byte-identical.
-#[allow(clippy::too_many_arguments)]
-fn queue_response(
-    conn: &mut Conn,
-    idle: Duration,
-    shared: &Shared,
-    histograms: &mut HashMap<[&'static str; 3], Arc<Histogram>>,
-    status: u16,
-    body: &str,
-    keep_alive: bool,
-    started: Instant,
-    meta: &ResponseMeta,
-    request_id: &str,
-) {
-    let elapsed = micros(started.elapsed());
-    let extra = [
-        ("x-snc-elapsed-us", elapsed.to_string()),
-        ("x-snc-request-id", request_id.to_string()),
-    ];
-    let bytes =
-        http::render_response_typed(status, meta.content_type, &extra, body.as_bytes(), keep_alive);
-    conn.out.extend_from_slice(&bytes);
-    conn.deadline = Instant::now() + idle;
-    let metrics = &shared.metrics;
-    histograms
-        .entry([meta.route, meta.family, meta.outcome])
-        .or_insert_with(|| metrics.request_duration(meta.route, meta.family, meta.outcome))
-        .record(elapsed);
-    if let Some(log) = &shared.access_log {
-        log.write(&format!(
-            "id={request_id} route={} family={} outcome={} status={status} us={elapsed}",
-            meta.route, meta.family, meta.outcome
-        ));
+    /// Renders and queues one framed response, starting a fresh idle
+    /// cycle. Also the single observability funnel for routed requests:
+    /// records the latency histogram cell, echoes the request id, and
+    /// emits the access-log line. Transport errors (parse 4xx, shed 503,
+    /// reap 408) deliberately bypass this — they carry no tracing
+    /// headers.
+    fn queue_response(
+        &mut self,
+        token: usize,
+        request: &InFlight,
+        status: u16,
+        body: &str,
+        meta: &ResponseMeta,
+    ) {
+        let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
+            return;
+        };
+        let elapsed = micros(request.started.elapsed());
+        let extra = [
+            ("x-snc-elapsed-us", elapsed.to_string()),
+            ("x-snc-request-id", request.request_id.clone()),
+        ];
+        let bytes = http::render_response_typed(
+            status,
+            meta.content_type,
+            &extra,
+            body.as_bytes(),
+            request.keep_alive,
+        );
+        conn.out.extend_from_slice(&bytes);
+        conn.deadline = Instant::now() + self.transport.idle;
+        if !request.keep_alive {
+            conn.close_after_flush = true;
+        }
+        let service = self.service;
+        self.request_histograms
+            .entry([meta.route, meta.family, meta.outcome])
+            .or_insert_with(|| service.request_duration(meta))
+            .record(elapsed);
+        if let Some(log) = &self.transport.access_log {
+            log.write(&format!(
+                "id={} route={} family={} outcome={} status={status} us={elapsed}",
+                request.request_id, meta.route, meta.family, meta.outcome
+            ));
+        }
     }
 }

@@ -1,30 +1,19 @@
-//! A minimal HTTP/1.1 layer — request parsing and response writing,
+//! A minimal HTTP/1.1 layer — request parsing and response rendering,
 //! nothing more.
 //!
-//! Scope is deliberately small: the server speaks exactly the subset of
-//! HTTP/1.1 its endpoints need — request line + headers + fixed-length
+//! Scope is deliberately small: both tiers speak exactly the subset of
+//! HTTP/1.1 their endpoints need — request line + headers + fixed-length
 //! bodies, keep-alive by default, `Expect: 100-continue` honored (curl
 //! sends it for larger POST bodies), chunked transfer encoding refused.
 //!
-//! Two front halves share one grammar:
-//!
-//! * [`RequestParser`] — the **incremental** per-connection state
-//!   machine the evented core feeds from non-blocking reads: bytes go
-//!   in via [`RequestParser::push`] in whatever fragments the socket
-//!   delivers (a slowloris byte at a time, or five pipelined requests
-//!   in one segment), complete requests come out of
-//!   [`RequestParser::next_request`] in order.
-//! * [`read_request`] — the original blocking form over
-//!   `BufReader<TcpStream>`, still used by the router's
-//!   thread-per-connection edge (connections poll with a short read
-//!   timeout; the caller supplies the `should_abort` probe).
-//!
-//! Both produce identical [`Request`] values and identical
-//! [`HttpError`]s for malformed input — pinned by tests that drive the
-//! same wire bytes through each.
-
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+//! [`RequestParser`] is the one request parser: the incremental
+//! per-connection state machine the reactor ([`crate::event`]) feeds
+//! from non-blocking reads. Bytes go in via [`RequestParser::push`] in
+//! whatever fragments the socket delivers (a slowloris byte at a time,
+//! or five pipelined requests in one segment); complete requests come
+//! out of [`RequestParser::next_request`] in order. Responses are
+//! rendered to bytes ([`render_response`]) and queued on the
+//! connection's out-buffer.
 
 /// Cap on the request head (request line + headers) in bytes.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -83,8 +72,7 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Parsed request-line + header fields, shared by the blocking and
-/// incremental parsers so both speak exactly one grammar.
+/// Parsed request-line + header fields.
 #[derive(Clone, Debug, Default)]
 struct Head {
     method: String,
@@ -156,9 +144,8 @@ fn apply_header_line(line: &str, head: &mut Head) -> Result<(), HttpError> {
     Ok(())
 }
 
-/// Finishes a parsed head + body into the [`Request`] both parsers
-/// return (query string stripped; endpoints don't take parameters
-/// there).
+/// Finishes a parsed head + body into a [`Request`] (query string
+/// stripped; endpoints don't take parameters there).
 fn assemble(head: Head, body: Vec<u8>) -> Request {
     let path = head
         .target
@@ -175,144 +162,6 @@ fn assemble(head: Head, body: Vec<u8>) -> Request {
     }
 }
 
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-/// Reads one `\n`-terminated line, tolerating read timeouts (polling
-/// `should_abort` on each). `Ok(None)` means the peer closed before any
-/// byte of the line, or shutdown was requested.
-fn read_line(
-    reader: &mut BufReader<TcpStream>,
-    budget: &mut usize,
-    should_abort: &impl Fn() -> bool,
-) -> Result<Option<Vec<u8>>, HttpError> {
-    let mut line = Vec::new();
-    loop {
-        // Never buffer past the head budget, even mid-line: read through
-        // a `Take` of `budget + 1` bytes so a peer streaming
-        // newline-free data is cut off at the cap instead of growing the
-        // buffer unboundedly (`read_until` alone would keep appending
-        // until a newline or EOF).
-        if line.len() > *budget {
-            return Err(HttpError::new(413, "request head too large"));
-        }
-        let remaining = (*budget + 1 - line.len()) as u64;
-        match reader.by_ref().take(remaining).read_until(b'\n', &mut line) {
-            // `remaining ≥ 1` here, so Ok(0) is a genuine EOF.
-            Ok(0) => {
-                return if line.is_empty() {
-                    Ok(None)
-                } else {
-                    Err(HttpError::new(400, "truncated request"))
-                };
-            }
-            Ok(_) if line.ends_with(b"\n") => {
-                *budget = budget
-                    .checked_sub(line.len())
-                    .ok_or_else(|| HttpError::new(413, "request head too large"))?;
-                while line.last().is_some_and(|&b| b == b'\n' || b == b'\r') {
-                    line.pop();
-                }
-                return Ok(Some(line));
-            }
-            // No newline: either the Take limit was hit (next iteration
-            // rejects with 413) or EOF landed mid-line (next iteration
-            // reads Ok(0) and rejects as truncated).
-            Ok(_) => {}
-            Err(e) if is_timeout(&e) => {
-                if should_abort() {
-                    return Ok(None);
-                }
-            }
-            Err(_) => return Ok(None),
-        }
-    }
-}
-
-/// Reads exactly `len` body bytes, tolerating read timeouts.
-fn read_body(
-    reader: &mut BufReader<TcpStream>,
-    len: usize,
-    should_abort: &impl Fn() -> bool,
-) -> Result<Vec<u8>, HttpError> {
-    let mut buf = vec![0u8; len];
-    let mut filled = 0;
-    while filled < len {
-        match reader.read(&mut buf[filled..]) {
-            Ok(0) => return Err(HttpError::new(400, "unexpected end of body")),
-            Ok(n) => filled += n,
-            Err(e) if is_timeout(&e) => {
-                if should_abort() {
-                    return Err(HttpError::new(408, "shutdown during body read"));
-                }
-            }
-            Err(_) => return Err(HttpError::new(400, "connection error during body read")),
-        }
-    }
-    Ok(buf)
-}
-
-/// Reads and parses one request off the connection.
-///
-/// Returns `Ok(None)` for a cleanly closed or shut-down connection
-/// (nothing to answer). `writer` is used only to send the interim
-/// `100 Continue` when the client asked for it.
-///
-/// # Errors
-///
-/// Returns [`HttpError`] for malformed, oversized, or unsupported
-/// requests; the caller answers with the embedded status and closes.
-pub fn read_request(
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
-    max_body: usize,
-    should_abort: &impl Fn() -> bool,
-) -> Result<Option<Request>, HttpError> {
-    let mut head_budget = MAX_HEAD_BYTES;
-    let request_line = match read_line(reader, &mut head_budget, should_abort)? {
-        Some(line) => line,
-        None => return Ok(None),
-    };
-    let request_line = String::from_utf8(request_line)
-        .map_err(|_| HttpError::new(400, "request line is not UTF-8"))?;
-    let mut head = parse_request_line(&request_line)?;
-    loop {
-        let line = match read_line(reader, &mut head_budget, should_abort)? {
-            Some(line) => line,
-            None => return Ok(None),
-        };
-        if line.is_empty() {
-            break;
-        }
-        let line = String::from_utf8(line)
-            .map_err(|_| HttpError::new(400, "header is not UTF-8"))?;
-        apply_header_line(&line, &mut head)?;
-    }
-    if head.content_length > max_body {
-        return Err(HttpError::new(
-            413,
-            format!(
-                "body of {} bytes exceeds the {max_body}-byte limit",
-                head.content_length
-            ),
-        ));
-    }
-    let body = if head.content_length > 0 {
-        if head.expect_continue {
-            let _ = writer.write_all(CONTINUE_INTERIM);
-            let _ = writer.flush();
-        }
-        read_body(reader, head.content_length, should_abort)?
-    } else {
-        Vec::new()
-    };
-    Ok(Some(assemble(head, body)))
-}
-
 /// The interim response sent when a client asked `Expect: 100-continue`.
 pub const CONTINUE_INTERIM: &[u8] = b"HTTP/1.1 100 Continue\r\n\r\n";
 
@@ -326,12 +175,17 @@ pub const CONTINUE_INTERIM: &[u8] = b"HTTP/1.1 100 Continue\r\n\r\n";
 /// calls, so the reactor can park the connection mid-request and resume
 /// exactly where the wire left off.
 ///
-/// The grammar and error surface are identical to [`read_request`]
-/// (shared helpers), with the same limits: [`MAX_HEAD_BYTES`] on the
-/// request head, the constructor's `max_body` on declared bodies.
+/// Limits: [`MAX_HEAD_BYTES`] on the request head, the constructor's
+/// `max_body` on declared bodies. Work is linear in the bytes received:
+/// the search for the end of the head resumes where the last one
+/// stopped, so a head trickled one byte per read is scanned once, not
+/// once per byte.
 #[derive(Debug)]
 pub struct RequestParser {
     buf: Vec<u8>,
+    /// How far into `buf` the head search has looked without finding
+    /// the blank line (reset when a head is consumed).
+    scanned: usize,
     state: ParseState,
     max_body: usize,
     /// Set when a parsed head carried `Expect: 100-continue` and a
@@ -352,6 +206,7 @@ impl RequestParser {
     pub fn new(max_body: usize) -> RequestParser {
         RequestParser {
             buf: Vec::new(),
+            scanned: 0,
             state: ParseState::Head,
             max_body,
             continue_pending: false,
@@ -382,13 +237,17 @@ impl RequestParser {
     ///
     /// # Errors
     ///
-    /// Returns the same [`HttpError`]s as [`read_request`] for
-    /// malformed, oversized, or unsupported input; the connection
-    /// answers with the embedded status and closes, so the parser makes
-    /// no attempt to resynchronize afterwards.
+    /// Returns an [`HttpError`] (400, 413, 501) for malformed, oversized,
+    /// or unsupported input; the connection answers with the embedded
+    /// status and closes, so the parser makes no attempt to
+    /// resynchronize afterwards.
     pub fn next_request(&mut self) -> Result<Option<Request>, HttpError> {
         if let ParseState::Head = self.state {
-            let Some(head_end) = find_head_end(&self.buf) else {
+            // Back off 3 bytes: a `\n\r\n` straddling the previous end of
+            // the buffer must still be found.
+            let found = find_head_end(&self.buf, self.scanned.saturating_sub(3));
+            self.scanned = self.buf.len();
+            let Some(head_end) = found else {
                 // No terminator yet: enforce the head cap even mid-flood
                 // (a peer streaming garbage without newlines must be cut
                 // off, not buffered unboundedly).
@@ -412,6 +271,7 @@ impl RequestParser {
             }
             self.continue_pending = head.expect_continue && head.content_length > 0;
             self.buf.drain(..head_end);
+            self.scanned = 0;
             self.state = ParseState::Body(head);
         }
         let ParseState::Body(head) = &self.state else {
@@ -428,27 +288,32 @@ impl RequestParser {
     }
 }
 
-/// Finds the end of the request head: the byte index one past the blank
-/// line. Accepts both `\r\n\r\n` and bare `\n\n` framing (the blocking
-/// parser tolerates both, one line at a time).
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    // A head that *starts* with a blank line is the degenerate "empty
-    // request line" case; report it as a complete (tiny) head so the
-    // line parser can reject it with the canonical 400.
-    if buf.starts_with(b"\r\n") {
-        return Some(2);
+/// Finds the end of the request head: the byte index one past the first
+/// empty line, where a line is empty if it starts (at the buffer start
+/// or after a `\n`) with `\n` or `\r\n` — so both `\r\n\r\n` and bare
+/// `\n\n` framing end a head. Looks only at line starts at or after
+/// `from`. A head that *starts* with a blank line is the degenerate
+/// "empty request line" case, reported as a complete (tiny) head so
+/// the line parser rejects it with the canonical 400.
+fn find_head_end(buf: &[u8], from: usize) -> Option<usize> {
+    let blank_line_end = |line: usize| match buf.get(line..)? {
+        [b'\n', ..] => Some(line + 1),
+        [b'\r', b'\n', ..] => Some(line + 2),
+        _ => None,
+    };
+    if from == 0 {
+        if let Some(end) = blank_line_end(0) {
+            return Some(end);
+        }
     }
-    if buf.starts_with(b"\n") {
-        return Some(1);
+    let mut at = from.min(buf.len());
+    while let Some(offset) = buf[at..].iter().position(|&b| b == b'\n') {
+        at += offset + 1;
+        if let Some(end) = blank_line_end(at) {
+            return Some(end);
+        }
     }
-    let nn = buf.windows(2).position(|w| w == b"\n\n").map(|i| i + 2);
-    let nrn = buf.windows(3).position(|w| w == b"\n\r\n").map(|i| i + 3);
-    match (nn, nrn) {
-        // Both framings present: whichever blank line comes first on the
-        // wire terminates the head.
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
-    }
+    None
 }
 
 /// Parses a complete head block (request line + header lines + blank
@@ -473,32 +338,14 @@ fn parse_head_block(block: &[u8]) -> Result<Head, HttpError> {
     Ok(head)
 }
 
-/// Writes a response with a JSON body.
+/// Renders a full response (head + body) with a JSON body — the form
+/// the reactor queues into a connection's write buffer, where partial
+/// writes are resumed as the peer drains.
 ///
 /// Emitted headers are fixed and deterministic (`content-type`,
 /// `content-length`, `connection`) plus the caller's `extra` pairs —
 /// timing lives in an `x-snc-elapsed-us` extra so response *bodies* stay
 /// byte-identical for identical requests.
-///
-/// # Errors
-///
-/// Propagates socket write errors (the caller drops the connection).
-pub fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    extra: &[(&str, String)],
-    body: &[u8],
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    stream.write_all(&render_response(status, extra, body, keep_alive))?;
-    stream.flush()
-}
-
-/// Renders a full response (head + body) to bytes without touching a
-/// socket — the form the evented core queues into a connection's write
-/// buffer, where partial writes are resumed as the peer drains. Framing
-/// is identical to [`write_response`] (which delegates here), so the
-/// evented and blocking cores are byte-identical on the wire.
 pub fn render_response(
     status: u16,
     extra: &[(&str, String)],
@@ -537,168 +384,183 @@ pub fn render_response_typed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::{TcpListener, TcpStream};
 
-    /// Loopback socket pair for driving the parser with real streams.
-    fn pair() -> (TcpStream, TcpStream) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        let (server, _) = listener.accept().unwrap();
-        (client, server)
+    /// Drives raw wire bytes through a fresh parser in one push.
+    fn parse(raw: &[u8]) -> Result<Option<Request>, HttpError> {
+        let mut parser = RequestParser::new(1024);
+        parser.push(raw);
+        parser.next_request()
     }
 
-    fn parse_one(raw: &[u8]) -> Result<Option<Request>, HttpError> {
-        let (mut client, server) = pair();
-        client.write_all(raw).unwrap();
-        client.shutdown(std::net::Shutdown::Write).unwrap();
-        let mut writer = server.try_clone().unwrap();
-        let mut reader = BufReader::new(server);
-        read_request(&mut reader, &mut writer, 1024, &|| false)
+    /// Feeds `raw` split at `cut` and drains every complete request.
+    fn drain_split(raw: &[u8], cut: usize) -> Vec<Request> {
+        let mut parser = RequestParser::new(1024);
+        let mut out = Vec::new();
+        for part in [&raw[..cut], &raw[cut..]] {
+            parser.push(part);
+            while let Some(request) = parser.next_request().expect("well-formed input") {
+                out.push(request);
+            }
+        }
+        assert!(parser.is_between_requests(), "bytes left over at cut {cut}");
+        out
+    }
+
+    fn request(method: &str, path: &str, body: &[u8], keep_alive: bool) -> Request {
+        Request {
+            method: method.into(),
+            path: path.into(),
+            body: body.to_vec(),
+            keep_alive,
+            request_id: None,
+        }
     }
 
     #[test]
     fn parses_a_post_with_body() {
-        let req = parse_one(
-            b"POST /solve HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd",
-        )
-        .unwrap()
-        .unwrap();
-        assert_eq!(req.method, "POST");
-        assert_eq!(req.path, "/solve");
-        assert_eq!(req.body, b"abcd");
-        assert!(req.keep_alive);
+        let req = parse(b"POST /solve HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd")
+            .unwrap()
+            .unwrap();
+        assert_eq!(req, request("POST", "/solve", b"abcd", true));
     }
 
     #[test]
     fn parses_get_and_strips_query() {
-        let req = parse_one(b"GET /healthz?verbose=1 HTTP/1.1\r\n\r\n")
-            .unwrap()
-            .unwrap();
-        assert_eq!(req.method, "GET");
-        assert_eq!(req.path, "/healthz");
-        assert!(req.body.is_empty());
+        let req = parse(b"GET /healthz?verbose=1 HTTP/1.1\r\n\r\n").unwrap().unwrap();
+        assert_eq!(req, request("GET", "/healthz", b"", true));
     }
 
     #[test]
     fn connection_close_and_http10_disable_keep_alive() {
-        let req = parse_one(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n")
-            .unwrap()
-            .unwrap();
+        let req = parse(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap().unwrap();
         assert!(!req.keep_alive);
-        let req = parse_one(b"GET / HTTP/1.0\r\n\r\n").unwrap().unwrap();
+        let req = parse(b"GET / HTTP/1.0\r\n\r\n").unwrap().unwrap();
         assert!(!req.keep_alive);
     }
 
     #[test]
     fn clean_close_yields_none() {
-        assert_eq!(parse_one(b"").unwrap(), None);
+        // No bytes at all: nothing to answer, and an EOF here is clean.
+        let mut parser = RequestParser::new(1024);
+        assert_eq!(parser.next_request().unwrap(), None);
+        assert!(parser.is_between_requests());
+        // A body shorter than its content-length is not a request yet;
+        // an EOF now is a truncated request, which the reactor closes
+        // without an answer.
+        parser.push(b"POST / HTTP/1.1\r\nContent-Length: 8\r\n\r\nabc");
+        assert_eq!(parser.next_request().unwrap(), None);
+        assert!(!parser.is_between_requests());
     }
 
     #[test]
     fn rejects_malformed_and_oversized() {
-        assert_eq!(parse_one(b"BOGUS\r\n\r\n").unwrap_err().status, 400);
+        let status = |raw: &[u8]| parse(raw).unwrap_err().status;
+        assert_eq!(status(b"BOGUS\r\n\r\n"), 400);
+        assert_eq!(status(b"\r\n\r\n"), 400, "empty request line");
+        assert_eq!(status(b"GET / HTTP/2\r\n\r\n"), 400);
+        assert_eq!(status(b"GET / HTTP/1.1\r\nno colon here\r\n\r\n"), 400);
+        assert_eq!(status(b"POST / HTTP/1.1\r\nContent-Length: nine\r\n\r\n"), 400);
+        assert_eq!(status(b"POST / HTTP/1.1\r\nContent-Length: 9999\r\n\r\n"), 413);
         assert_eq!(
-            parse_one(b"GET / HTTP/2\r\n\r\n").unwrap_err().status,
-            400
-        );
-        assert_eq!(
-            parse_one(b"POST / HTTP/1.1\r\nContent-Length: 9999\r\n\r\n")
-                .unwrap_err()
-                .status,
-            413
-        );
-        assert_eq!(
-            parse_one(b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n")
-                .unwrap_err()
-                .status,
+            status(b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"),
             501
-        );
-        assert_eq!(
-            parse_one(b"POST / HTTP/1.1\r\nContent-Length: 8\r\n\r\nabc")
-                .unwrap_err()
-                .status,
-            400,
-            "body shorter than content-length"
         );
     }
 
     #[test]
     fn oversized_head_is_cut_off_even_without_newlines() {
-        // A newline-free flood must be rejected at MAX_HEAD_BYTES, not
-        // buffered until the peer closes.
-        let (mut client, server) = pair();
-        let flood = vec![b'A'; MAX_HEAD_BYTES + 1024];
-        std::thread::spawn(move || {
-            let _ = client.write_all(&flood);
-            // Keep the connection open: the server must reject without
-            // waiting for EOF or a newline.
-            std::thread::sleep(std::time::Duration::from_secs(5));
-        });
-        let mut writer = server.try_clone().unwrap();
-        let mut reader = BufReader::new(server);
-        let err = read_request(&mut reader, &mut writer, 1024, &|| false).unwrap_err();
-        assert_eq!(err.status, 413);
-        // An oversized header *line* (with newlines elsewhere) is also
-        // capped.
+        // A newline-free flood is rejected once it passes MAX_HEAD_BYTES,
+        // even mid-stream: the peer need not close or send a newline.
+        let mut parser = RequestParser::new(1024);
+        for _ in 0..MAX_HEAD_BYTES / 1024 {
+            parser.push(&[b'A'; 1024]);
+            assert_eq!(parser.next_request().unwrap(), None);
+        }
+        parser.push(b"A");
+        assert_eq!(parser.next_request().unwrap_err().status, 413);
+        // An oversized header *line* (with newlines elsewhere) is capped
+        // too.
         let mut big = b"GET / HTTP/1.1\r\nX-Big: ".to_vec();
         big.extend(std::iter::repeat_n(b'x', MAX_HEAD_BYTES));
         big.extend(b"\r\n\r\n");
-        assert_eq!(parse_one(&big).unwrap_err().status, 413);
+        assert_eq!(parse(&big).unwrap_err().status, 413);
     }
 
     #[test]
     fn expect_continue_gets_the_interim_response() {
-        let (mut client, server) = pair();
-        client
-            .write_all(
-                b"POST /solve HTTP/1.1\r\nContent-Length: 2\r\nExpect: 100-continue\r\n\r\nhi",
-            )
-            .unwrap();
-        client.shutdown(std::net::Shutdown::Write).unwrap();
-        let mut writer = server.try_clone().unwrap();
-        let mut reader = BufReader::new(server);
-        let req = read_request(&mut reader, &mut writer, 1024, &|| false)
-            .unwrap()
-            .unwrap();
+        // Body already on the wire: the obligation is still raised (the
+        // reactor queues the interim before the final response).
+        let mut parser = RequestParser::new(1024);
+        parser.push(b"POST /solve HTTP/1.1\r\nContent-Length: 2\r\nExpect: 100-continue\r\n\r\nhi");
+        let req = parser.next_request().unwrap().unwrap();
         assert_eq!(req.body, b"hi");
-        let mut interim = String::new();
-        std::io::BufReader::new(client)
-            .read_line(&mut interim)
-            .unwrap();
-        assert!(interim.starts_with("HTTP/1.1 100"), "got {interim:?}");
-    }
-
-    /// Drives raw wire bytes through the incremental parser in one push.
-    fn parse_incremental(raw: &[u8], max_body: usize) -> Result<Option<Request>, HttpError> {
-        let mut parser = RequestParser::new(max_body);
-        parser.push(raw);
-        parser.next_request()
+        assert!(parser.take_continue_pending());
+        // No body, nothing to continue.
+        parser.push(b"POST /solve HTTP/1.1\r\nContent-Length: 0\r\nExpect: 100-continue\r\n\r\n");
+        parser.next_request().unwrap().unwrap();
+        assert!(!parser.take_continue_pending());
+        assert!(CONTINUE_INTERIM.starts_with(b"HTTP/1.1 100 "));
     }
 
     #[test]
-    fn incremental_parser_matches_blocking_parser_byte_for_byte() {
-        // The conformance axiom: identical wire bytes → identical
-        // Request values and identical errors across the two front
-        // halves.
-        let cases: &[&[u8]] = &[
-            b"POST /solve HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd",
-            b"GET /healthz?verbose=1 HTTP/1.1\r\n\r\n",
-            b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n",
-            b"GET / HTTP/1.0\r\n\r\n",
-            b"BOGUS\r\n\r\n",
-            b"GET / HTTP/2\r\n\r\n",
-            b"POST / HTTP/1.1\r\nContent-Length: 9999\r\n\r\n",
-            b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
-            b"GET / HTTP/1.1\nHost: bare-newlines\n\n",
+    fn parser_matches_the_conformance_table() {
+        // Each wire input with the one Request (or error status) it
+        // must produce.
+        let ok = |method: &str, path: &str, body: &[u8], keep_alive: bool| {
+            Ok(request(method, path, body, keep_alive))
+        };
+        let cases: Vec<(&[u8], Result<Request, u16>)> = vec![
+            (
+                b"POST /solve HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd",
+                ok("POST", "/solve", b"abcd", true),
+            ),
+            (b"GET /healthz?verbose=1 HTTP/1.1\r\n\r\n", ok("GET", "/healthz", b"", true)),
+            (b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n", ok("GET", "/", b"", false)),
+            (b"GET / HTTP/1.0\r\n\r\n", ok("GET", "/", b"", false)),
+            (
+                b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
+                ok("GET", "/", b"", true),
+            ),
+            (b"get / HTTP/1.1\n\n", ok("GET", "/", b"", true)),
+            (b"GET / HTTP/1.1\nHost: bare-newlines\n\n", ok("GET", "/", b"", true)),
+            (
+                b"GET / HTTP/1.1\r\nHost: mixed\n\r\n",
+                ok("GET", "/", b"", true),
+            ),
+            (
+                b"GET /a HTTP/1.1\r\nx-snc-request-id: abc\r\n\r\n",
+                Ok(Request {
+                    request_id: Some("abc".into()),
+                    ..request("GET", "/a", b"", true)
+                }),
+            ),
+            (b"BOGUS\r\n\r\n", Err(400)),
+            (b"GET / HTTP/2\r\n\r\n", Err(400)),
+            (b"POST / HTTP/1.1\r\nContent-Length: 9999\r\n\r\n", Err(413)),
+            (b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n", Err(501)),
         ];
-        for raw in cases {
-            let blocking = parse_one(raw);
-            let incremental = parse_incremental(raw, 1024);
-            match (&blocking, &incremental) {
-                (Ok(Some(a)), Ok(Some(b))) => assert_eq!(a, b, "{raw:?}"),
-                (Err(a), Err(b)) => assert_eq!(a.status, b.status, "{raw:?}"),
-                other => panic!("parsers diverged on {raw:?}: {other:?}"),
+        for (raw, expected) in cases {
+            let got = parse(raw).map(|r| r.expect("complete request")).map_err(|e| e.status);
+            assert_eq!(got, expected, "{:?}", String::from_utf8_lossy(raw));
+        }
+    }
+
+    #[test]
+    fn split_heads_parse_identically_at_every_byte_boundary() {
+        // The resumable head search must find `\r\n\r\n`, `\n\n`, and
+        // pipelined pairs wherever a read boundary falls, and must not
+        // mistake a straddled terminator for a missing one.
+        let inputs: [&[u8]; 4] = [
+            b"POST /solve HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello",
+            b"GET /healthz HTTP/1.1\nHost: bare\n\n",
+            b"GET /a HTTP/1.1\r\n\r\nPOST /b HTTP/1.1\r\nContent-Length: 2\r\n\r\nhi",
+            b"GET /a HTTP/1.1\n\nGET /b HTTP/1.1\r\nConnection: close\r\n\r\n",
+        ];
+        for raw in inputs {
+            let whole = drain_split(raw, raw.len());
+            assert!(!whole.is_empty());
+            for cut in 0..=raw.len() {
+                assert_eq!(drain_split(raw, cut), whole, "cut at {cut}");
             }
         }
     }
@@ -758,7 +620,7 @@ mod tests {
     }
 
     #[test]
-    fn render_response_matches_write_response_framing() {
+    fn render_response_frames_head_and_body() {
         let rendered = render_response(
             200,
             &[("x-snc-elapsed-us", "12".to_string())],
@@ -767,29 +629,14 @@ mod tests {
         );
         let text = String::from_utf8(rendered).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
+        assert!(text.contains("content-type: application/json\r\n"));
+        assert!(text.contains("content-length: 11\r\n"));
         assert!(text.contains("connection: keep-alive\r\n"));
         assert!(text.contains("x-snc-elapsed-us: 12\r\n"));
         assert!(text.ends_with("\r\n\r\n{\"ok\":true}"));
-    }
-
-    #[test]
-    fn response_writing_roundtrip() {
-        let (client, mut server) = pair();
-        write_response(
-            &mut server,
-            200,
-            &[("x-snc-elapsed-us", "12".to_string())],
-            b"{\"ok\":true}",
-            false,
-        )
-        .unwrap();
-        drop(server);
-        let mut text = String::new();
-        BufReader::new(client).read_to_string(&mut text).unwrap();
-        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
-        assert!(text.contains("content-length: 11\r\n"));
+        let closing = render_response(503, &[], b"{}", false);
+        let text = String::from_utf8(closing).unwrap();
+        assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
         assert!(text.contains("connection: close\r\n"));
-        assert!(text.contains("x-snc-elapsed-us: 12\r\n"));
-        assert!(text.ends_with("\r\n\r\n{\"ok\":true}"));
     }
 }

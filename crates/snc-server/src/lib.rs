@@ -48,7 +48,9 @@
 //!
 //! The request/response schema lives in [`wire`]; the HTTP subset in
 //! [`http`]; the async job records in [`jobs`]; the deterministic
-//! full-response cache in [`cache`]; acceptor/routing in [`server`].
+//! full-response cache in [`cache`]; routing and the worker pool in
+//! [`server`]; the service-agnostic reactor — which `snc-router` runs
+//! too, behind its own [`event::Service`] — in [`event`].
 //!
 //! ## Caching
 //!

@@ -1,15 +1,15 @@
 //! The server's metric surface: one [`snc_metrics::Registry`] per
-//! process, pre-registered reactor instruments, and the scrape-time
-//! sync that mirrors pre-existing counters (caches, connections, jobs)
-//! onto the registry.
+//! process, the reactor instruments both tiers register on theirs, and
+//! the scrape-time sync that mirrors pre-existing counters (caches,
+//! jobs) onto the registry.
 //!
 //! ## Data flow
 //!
 //! Hot-path instruments — request latency histograms, reactor tick
-//! timers, connection gauges — are recorded *live* (a few relaxed
-//! atomics per event, no locks on the recording side). Values that
-//! already have an owner elsewhere — cache hit/miss/eviction tallies,
-//! connection totals, jobs stored — are **mirrored at scrape time**
+//! timers, connection gauges and reaper/shed totals — are recorded
+//! *live* (a few relaxed atomics per event, no locks on the recording
+//! side). Values that already have an owner elsewhere — cache
+//! hit/miss/eviction tallies, jobs stored — are **mirrored at scrape time**
 //! instead: the `GET /metrics` handler copies them into registry
 //! counters/gauges just before rendering. Mirroring avoids giving the
 //! registry closures that capture server state (the workspace's
@@ -27,76 +27,89 @@ use snc_maxcut::StageTimings;
 use snc_metrics::{Counter, Gauge, Histogram, Registry};
 use std::sync::Arc;
 
-/// Per-process metric state: the registry plus `Arc` handles to the
-/// instruments hot paths record into (pre-registered so the hot path
-/// never takes the registry lock).
+/// The reactor's instruments, registered on the owning service's
+/// registry (so one scrape covers both) and recorded live by the loop.
+/// Names are `snc_reactor_*` on both tiers; the reaper and shedding
+/// tallies carry the service layer (`snc_server_*`, `snc_router_*`).
 #[derive(Debug)]
-pub struct ServerMetrics {
-    /// The process-wide registry rendered by `GET /metrics`.
-    pub registry: Registry,
+pub struct ReactorMetrics {
     /// Time the reactor spent blocked in the poller per tick (µs).
     pub poll_wait_us: Arc<Histogram>,
     /// Time the reactor spent doing work per tick (µs).
     pub work_us: Arc<Histogram>,
     /// Reactor loop iterations.
     pub ticks: Arc<Counter>,
-    /// Connections currently owned by the reactor.
+    /// Connections currently owned by the reactor (also the budget the
+    /// acceptor sheds against).
     pub connections_active: Arc<Gauge>,
-    /// Connections currently parked on an in-flight solve.
+    /// Connections currently parked on a dispatched request.
     pub connections_waiting: Arc<Gauge>,
-    /// Completions sitting in the mailbox at last scrape.
+    /// Completions sitting in the mailbox.
     pub mailbox_depth: Arc<Gauge>,
+    /// Connections closed by the idle-deadline reaper.
+    pub connections_reaped: Arc<Counter>,
+    /// Accepts shed with a fast 503 over the connection budget.
+    pub connections_shed: Arc<Counter>,
 }
 
-impl Default for ServerMetrics {
-    fn default() -> Self {
-        Self::new()
+impl ReactorMetrics {
+    /// Registers the reactor instruments on `registry`; `layer` names
+    /// the service (`server`, `router`) in the reaped/shed totals.
+    pub fn register(registry: &Registry, layer: &str) -> ReactorMetrics {
+        ReactorMetrics {
+            poll_wait_us: registry.histogram(
+                "snc_reactor_poll_wait_us",
+                "Time the reactor spent blocked waiting for readiness per tick",
+                &[],
+            ),
+            work_us: registry.histogram(
+                "snc_reactor_work_us",
+                "Time the reactor spent processing events per tick",
+                &[],
+            ),
+            ticks: registry.counter("snc_reactor_ticks_total", "Reactor loop iterations", &[]),
+            connections_active: registry.gauge(
+                "snc_reactor_connections_active",
+                "Connections currently owned by the reactor",
+                &[],
+            ),
+            connections_waiting: registry.gauge(
+                "snc_reactor_connections_waiting",
+                "Connections parked on an in-flight dispatch",
+                &[],
+            ),
+            mailbox_depth: registry.gauge(
+                "snc_reactor_mailbox_depth",
+                "Dispatch completions queued in the mailbox",
+                &[],
+            ),
+            connections_reaped: registry.counter(
+                &format!("snc_{layer}_connections_reaped_total"),
+                "Connections closed by the idle-deadline reaper",
+                &[],
+            ),
+            connections_shed: registry.counter(
+                &format!("snc_{layer}_connections_shed_total"),
+                "Accepts shed with a fast 503 over the connection budget",
+                &[],
+            ),
+        }
     }
 }
 
+/// Per-process metric state of the solve service: the registry (which
+/// also carries the [`ReactorMetrics`]) and the solve-plane series.
+#[derive(Debug, Default)]
+pub struct ServerMetrics {
+    /// The process-wide registry rendered by `GET /metrics`.
+    pub registry: Registry,
+}
+
 impl ServerMetrics {
-    /// Builds the registry and pre-registers the reactor instruments.
+    /// Builds an empty registry (the reactor registers its instruments
+    /// when it binds).
     pub fn new() -> ServerMetrics {
-        let registry = Registry::new();
-        let poll_wait_us = registry.histogram(
-            "snc_reactor_poll_wait_us",
-            "Time the reactor spent blocked waiting for readiness per tick",
-            &[],
-        );
-        let work_us = registry.histogram(
-            "snc_reactor_work_us",
-            "Time the reactor spent processing events per tick",
-            &[],
-        );
-        let ticks = registry.counter(
-            "snc_reactor_ticks_total",
-            "Reactor loop iterations",
-            &[],
-        );
-        let connections_active = registry.gauge(
-            "snc_reactor_connections_active",
-            "Connections currently owned by the reactor",
-            &[],
-        );
-        let connections_waiting = registry.gauge(
-            "snc_reactor_connections_waiting",
-            "Connections parked on an in-flight solve",
-            &[],
-        );
-        let mailbox_depth = registry.gauge(
-            "snc_reactor_mailbox_depth",
-            "Solve completions queued in the mailbox",
-            &[],
-        );
-        ServerMetrics {
-            registry,
-            poll_wait_us,
-            work_us,
-            ticks,
-            connections_active,
-            connections_waiting,
-            mailbox_depth,
-        }
+        ServerMetrics::default()
     }
 
     /// The per-request latency histogram for one `(route, family,
@@ -164,11 +177,14 @@ mod tests {
 
     #[test]
     fn reactor_instruments_render_under_fleet_names() {
-        let m = ServerMetrics::new();
+        let registry = Registry::new();
+        let m = ReactorMetrics::register(&registry, "router");
         m.ticks.inc();
         m.poll_wait_us.record(120);
         m.connections_active.set(3);
-        let text = m.registry.render();
+        m.connections_shed.inc();
+        let text = registry.render();
+        assert!(text.contains("snc_router_connections_shed_total 1"));
         assert!(text.contains("# TYPE snc_reactor_ticks_total counter"));
         assert!(text.contains("snc_reactor_ticks_total 1"));
         assert!(text.contains("# TYPE snc_reactor_poll_wait_us histogram"));

@@ -1,7 +1,8 @@
-//! The server core: configuration, routing, and the worker pool the
+//! The solve service: configuration, routing, and the worker pool the
 //! solves are scheduled onto. The transport underneath is the
-//! readiness-driven reactor in [`crate::event`] — one loop thread owns
-//! every connection; solver workers never touch a socket.
+//! readiness-driven reactor in [`crate::event`] (which the router runs
+//! too) — one loop thread owns every connection; solver workers never
+//! touch a socket.
 //!
 //! ## Data flow
 //!
@@ -52,7 +53,9 @@
 //! thread.
 
 use crate::cache::ResponseCache;
-use crate::event::{self, Completion, Mailbox, ReplyTo};
+use crate::event::{
+    self, Completion, Reactor, ReactorHandle, ReplyTo, ResponseMeta, Routed, Service, Transport,
+};
 use crate::http::{HttpError, Request};
 use crate::jobs::{JobStatus, JobStore};
 use crate::metrics::ServerMetrics;
@@ -63,9 +66,9 @@ use snc_experiments::json::Json;
 use snc_experiments::runner::WorkerPool;
 use snc_linalg::SdpConfig;
 use snc_maxcut::{SdpCache, StageTimings};
-use snc_metrics::{AccessLog, RequestIds};
-use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use snc_metrics::Histogram;
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -174,17 +177,17 @@ impl ServerConfig {
     }
 }
 
-/// Shared state the reactor loop and the worker closures see.
+/// The solve service the reactor routes into.
 ///
 /// `store` is its own `Arc` so async job closures can capture *only*
 /// the store: a queued job must never own (and therefore never be the
 /// last owner of, and drop) the pool it runs on — the pool's teardown
 /// joins its workers, which must not happen on a worker thread. The
-/// [`Mailbox`] is split out for the same reason: solve closures capture
-/// the mailbox, caches, and store — never `Arc<Shared>` — so the last
-/// `Arc<Shared>` is always dropped by the `ServerHandle` (or the
-/// reactor), and `shutdown()` deterministically drains and joins the
-/// pool on the caller's thread.
+/// [`Transport`] (whose mailbox solve closures deliver to) is split out
+/// for the same reason: solve closures capture the mailbox, caches, and
+/// store — never `Shared` — which the reactor thread owns and drops as
+/// it exits, so joining the reactor deterministically drains and joins
+/// the pool.
 pub(crate) struct Shared {
     pub(crate) cfg: ServerConfig,
     pub(crate) defaults: RequestDefaults,
@@ -197,35 +200,18 @@ pub(crate) struct Shared {
     /// Byte-exact full-response cache (`None` when
     /// `response_cache_bytes == 0`).
     pub(crate) response_cache: Option<Arc<ResponseCache>>,
-    /// Where workers deliver solve completions (and how they — or
-    /// `shutdown()` — interrupt the reactor's wait). Its own `Arc`:
-    /// solve closures must never own the pool (see above).
-    pub(crate) mailbox: Arc<Mailbox>,
-    /// Which readiness backend the reactor runs (`"epoll"`/`"poll"`),
-    /// reported on `/healthz`.
-    pub(crate) backend: &'static str,
-    /// Live connections owned by the reactor right now.
-    pub(crate) conn_active: AtomicU64,
-    /// Connections closed by the idle-deadline reaper so far.
-    pub(crate) conn_reaped: AtomicU64,
-    /// Accepts shed with a fast 503 because the budget was full.
-    pub(crate) conn_shed: AtomicU64,
+    /// The reactor's shared state: the mailbox workers deliver
+    /// completions to, and the connection gauges `/healthz` reports.
+    pub(crate) transport: Arc<Transport>,
     /// Solve-bearing requests accepted so far (`POST /solve` +
     /// `POST /jobs`, counted whether they hit a cache, run a solve, or
     /// shed with 503). Reported on `/healthz` so an edge process can
     /// audit exactly where its routed traffic landed.
     pub(crate) solve_requests: AtomicU64,
-    /// The process metric registry + pre-registered reactor
-    /// instruments. Its own `Arc` so worker closures can record stage
-    /// timings without capturing `Shared` (which owns the pool).
+    /// The process metric registry. Its own `Arc` so worker closures
+    /// can record stage timings without capturing `Shared` (which owns
+    /// the pool).
     pub(crate) metrics: Arc<ServerMetrics>,
-    /// Mints `x-snc-request-id` values for requests that arrive
-    /// without a (valid) one.
-    pub(crate) request_ids: RequestIds,
-    /// One structured line per served request, when `--access-log` is
-    /// set (written by the reactor at response-queue time).
-    pub(crate) access_log: Option<AccessLog>,
-    pub(crate) shutdown: AtomicBool,
 }
 
 /// A running server. Dropping the handle shuts the server down
@@ -233,9 +219,7 @@ pub(crate) struct Shared {
 /// queue drained).
 #[derive(Debug)]
 pub struct ServerHandle {
-    addr: SocketAddr,
-    shared: Arc<Shared>,
-    reactor: Option<std::thread::JoinHandle<()>>,
+    reactor: ReactorHandle,
 }
 
 impl std::fmt::Debug for Shared {
@@ -255,18 +239,9 @@ impl std::fmt::Debug for Shared {
 /// forcing [`sys::Backend::Epoll`] off Linux), and pipe creation
 /// failures.
 pub fn serve(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind(&cfg.addr)?;
-    let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
-    // Built here, not in the reactor thread, so construction errors
-    // surface synchronously from `serve`.
-    let poller = sys::Poller::new(cfg.backend)?;
-    let mailbox = Arc::new(Mailbox::new()?);
-    let access_log = match &cfg.access_log {
-        Some(path) => Some(AccessLog::open_rotating(path, cfg.access_log_max_bytes)?),
-        None => None,
-    };
-    let shared = Arc::new(Shared {
+    let metrics = Arc::new(ServerMetrics::new());
+    let reactor = Reactor::bind(&cfg, &metrics.registry, "server")?;
+    let shared = Shared {
         defaults: cfg.request_defaults(),
         pool: WorkerPool::bounded(cfg.threads, cfg.queue_depth),
         store: Arc::new(JobStore::new(cfg.store_capacity)),
@@ -274,218 +249,89 @@ pub fn serve(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
             .then(|| Arc::new(SdpCache::new(cfg.sdp_cache_entries))),
         response_cache: (cfg.response_cache_bytes > 0)
             .then(|| Arc::new(ResponseCache::new(cfg.response_cache_bytes))),
-        backend: poller.backend_name(),
-        mailbox,
-        conn_active: AtomicU64::new(0),
-        conn_reaped: AtomicU64::new(0),
-        conn_shed: AtomicU64::new(0),
+        transport: Arc::clone(reactor.transport()),
         solve_requests: AtomicU64::new(0),
-        metrics: Arc::new(ServerMetrics::new()),
-        request_ids: RequestIds::from_env(),
-        access_log,
-        shutdown: AtomicBool::new(false),
+        metrics,
         cfg,
-    });
-    let reactor_shared = Arc::clone(&shared);
-    let reactor = std::thread::Builder::new()
-        .name("snc-reactor".into())
-        .spawn(move || event::run(listener, poller, &reactor_shared))?;
+    };
     Ok(ServerHandle {
-        addr,
-        shared,
-        reactor: Some(reactor),
+        reactor: reactor.spawn(shared)?,
     })
 }
 
 impl ServerHandle {
     /// The actual bound address (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.reactor.addr()
     }
 
     /// Requests a graceful shutdown and blocks until the reactor and the
     /// (drained) worker pool have exited. The flag is paired with a ring
     /// of the reactor's wakeup pipe, so an idle loop wakes immediately —
-    /// there is no polling interval to wait out. After the reactor
-    /// joins, this handle holds the last `Arc<Shared>` — job closures
-    /// capture only the store, caches, and mailbox — so dropping it
-    /// tears the pool down on the caller's thread, draining every
-    /// queued job and joining the workers.
+    /// there is no polling interval to wait out. The exiting reactor
+    /// drops the service it owns — job closures capture only the
+    /// store, caches, and mailbox — which tears the pool down, draining
+    /// every queued job and joining the workers before the join
+    /// returns.
     pub fn shutdown(mut self) {
-        self.stop();
+        self.reactor.shutdown();
     }
 
     /// Blocks until the server exits (which, absent an external
     /// [`ServerHandle::shutdown`], is never — the binary's serve-forever
     /// mode).
     pub fn join(mut self) {
-        if let Some(reactor) = self.reactor.take() {
-            let _ = reactor.join();
-        }
-    }
-
-    fn stop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.mailbox.ring();
-        if let Some(reactor) = self.reactor.take() {
-            let _ = reactor.join();
-        }
+        self.reactor.join();
     }
 }
 
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-/// The metric labels (and content type) one response carries: static
-/// strings decided at route time, recorded by the reactor when the
-/// response is queued. Purely observational — never rendered into a
-/// body.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct ResponseMeta {
-    /// Route label (`solve`, `jobs`, `jobs_poll`, `healthz`, `metrics`,
-    /// `index`, `other`).
-    pub(crate) route: &'static str,
-    /// Circuit family label (`lif-gw` … / `max2sat` / `maxdicut`), or
-    /// `none` for non-solve routes.
-    pub(crate) family: &'static str,
-    /// Response-cache outcome (`hit` / `miss`), or `none` where no
-    /// cache sits on the path, or `error`.
-    pub(crate) outcome: &'static str,
-    /// The `content-type` header value for the response.
-    pub(crate) content_type: &'static str,
-}
-
-impl ResponseMeta {
-    pub(crate) fn new(route: &'static str) -> ResponseMeta {
-        ResponseMeta {
-            route,
-            family: "none",
-            outcome: "none",
-            content_type: "application/json",
+/// Everything except an uncached `POST /solve` answers
+/// [`Routed::Ready`] inline on the reactor.
+impl Service for Shared {
+    fn route(
+        &self,
+        request: &Request,
+        _request_id: &str,
+        reply_to: ReplyTo,
+    ) -> Result<Routed, HttpError> {
+        match (request.method.as_str(), request.path.as_str()) {
+            ("GET", "/healthz") => Ok(Routed::Ready(
+                200,
+                healthz(self),
+                ResponseMeta::new("healthz"),
+            )),
+            ("GET", "/metrics") => Ok(Routed::Ready(
+                200,
+                metrics_body(self),
+                ResponseMeta::exposition(),
+            )),
+            ("POST", "/solve") => {
+                self.solve_requests.fetch_add(1, Ordering::Relaxed);
+                solve(&request.body, self, reply_to)
+            }
+            ("POST", "/jobs") => {
+                self.solve_requests.fetch_add(1, Ordering::Relaxed);
+                submit_job(&request.body, self)
+            }
+            ("GET", path) if path.starts_with("/jobs/") => poll_job(path, self)
+                .map(|(status, body)| Routed::Ready(status, body, ResponseMeta::new("jobs_poll"))),
+            _ => event::route_common("snc-server", request),
         }
     }
 
-    /// The route label for a method/path pair, shared by the success
-    /// path and [`error_meta`] so both label the same endpoint cell.
-    fn route_label(path: &str) -> &'static str {
-        match path {
-            "/healthz" => "healthz",
-            "/solve" => "solve",
-            "/jobs" => "jobs",
-            "/metrics" => "metrics",
-            "/" => "index",
-            p if p.starts_with("/jobs/") => "jobs_poll",
-            _ => "other",
-        }
-    }
-}
-
-/// The meta for a request [`route`] rejected with an [`HttpError`]
-/// (404/405/400): same route cell as the success path, outcome
-/// `error`.
-pub(crate) fn error_meta(path: &str) -> ResponseMeta {
-    ResponseMeta {
-        outcome: "error",
-        ..ResponseMeta::new(ResponseMeta::route_label(path))
-    }
-}
-
-/// How [`route`] answered: inline on the reactor thread, or dispatched
-/// to the worker pool (in which case a [`Completion`] tagged with the
-/// connection's [`ReplyTo`] arrives through the [`Mailbox`]). Either
-/// way carries the [`ResponseMeta`] the reactor records at
-/// response-queue time.
-pub(crate) enum Routed {
-    /// The reply is ready now — cache hit, gauge read, async-job
-    /// bookkeeping, or validation output. Zero thread handoff.
-    Ready(u16, String, ResponseMeta),
-    /// A solve miss was scheduled on the pool; the connection parks
-    /// until its completion is delivered.
-    Dispatched(ResponseMeta),
-}
-
-/// Routes one parsed request. Everything except an uncached
-/// `POST /solve` answers [`Routed::Ready`] inline on the reactor.
-pub(crate) fn route(
-    request: &Request,
-    shared: &Arc<Shared>,
-    reply_to: ReplyTo,
-) -> Result<Routed, HttpError> {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => Ok(Routed::Ready(
-            200,
-            healthz(shared),
-            ResponseMeta::new("healthz"),
-        )),
-        ("GET", "/metrics") => Ok(Routed::Ready(
-            200,
-            metrics_body(shared),
-            ResponseMeta {
-                content_type: "text/plain; version=0.0.4",
-                ..ResponseMeta::new("metrics")
-            },
-        )),
-        ("POST", "/solve") => {
-            shared.solve_requests.fetch_add(1, Ordering::Relaxed);
-            solve(&request.body, shared, reply_to)
-        }
-        ("POST", "/jobs") => {
-            shared.solve_requests.fetch_add(1, Ordering::Relaxed);
-            submit_job(&request.body, shared)
-        }
-        ("GET", path) if path.starts_with("/jobs/") => poll_job(path, shared)
-            .map(|(status, body)| Routed::Ready(status, body, ResponseMeta::new("jobs_poll"))),
-        ("GET", "/") => Ok(Routed::Ready(200, index_body(), ResponseMeta::new("index"))),
-        (_, "/healthz" | "/solve" | "/jobs" | "/" | "/metrics") => {
-            Err(HttpError::new(405, "method not allowed"))
-        }
-        (_, path) if path.starts_with("/jobs/") => Err(HttpError::new(405, "method not allowed")),
-        _ => Err(HttpError::new(404, "no such endpoint")),
-    }
-}
-
-fn index_body() -> String {
-    Json::Obj(vec![
-        ("service".into(), Json::str("snc-server")),
-        (
-            "endpoints".into(),
-            Json::Arr(
-                [
-                    "GET /healthz",
-                    "GET /metrics",
-                    "POST /solve",
-                    "POST /jobs",
-                    "GET /jobs/{id}",
-                ]
-                .into_iter()
-                .map(Json::str)
-                .collect(),
-            ),
-        ),
-    ])
-    .render()
-}
-
-/// The circuit-family metric label for a parsed workload.
-fn workload_family(workload: &Workload) -> &'static str {
-    match workload {
-        Workload::MaxCut(job) => job.spec.family.name(),
-        Workload::WeightedMaxCut(job) => job.spec.family.name(),
-        Workload::Max2Sat(_) => "max2sat",
-        Workload::MaxDicut(_) => "maxdicut",
+    fn request_duration(&self, meta: &ResponseMeta) -> Arc<Histogram> {
+        self.metrics
+            .request_duration(meta.route, meta.family, meta.outcome)
     }
 }
 
 /// Renders `GET /metrics`: mirrors the externally-owned tallies (cache
-/// stats, connection counters, pool/queue/jobs gauges) onto the
-/// registry, then renders the text exposition. The mirrored values are
-/// read from the same sources `/healthz` reports, so the two surfaces
-/// can never disagree about a scrape-instant value by more than
-/// concurrent traffic.
-fn metrics_body(shared: &Arc<Shared>) -> String {
+/// stats, pool/queue/jobs gauges) onto the registry, then renders the
+/// text exposition (the reactor's connection instruments are live on
+/// the same registry). The mirrored values are read from the same
+/// sources `/healthz` reports, so the two surfaces can never disagree
+/// about a scrape-instant value by more than concurrent traffic.
+fn metrics_body(shared: &Shared) -> String {
     let m = &shared.metrics;
     if let Some(cache) = &shared.sdp_cache {
         let s = cache.stats();
@@ -502,23 +348,6 @@ fn metrics_body(shared: &Arc<Shared>) -> String {
             )
             .set(s.bytes as i64);
     }
-    m.connections_active
-        .set(shared.conn_active.load(Ordering::Relaxed) as i64);
-    m.mailbox_depth.set(shared.mailbox.depth() as i64);
-    m.registry
-        .counter(
-            "snc_server_connections_reaped_total",
-            "Connections closed by the idle-deadline reaper",
-            &[],
-        )
-        .set_total(shared.conn_reaped.load(Ordering::Relaxed));
-    m.registry
-        .counter(
-            "snc_server_connections_shed_total",
-            "Accepts shed with a fast 503 over the connection budget",
-            &[],
-        )
-        .set_total(shared.conn_shed.load(Ordering::Relaxed));
     m.registry
         .counter(
             "snc_server_solve_requests_total",
@@ -543,7 +372,8 @@ fn metrics_body(shared: &Arc<Shared>) -> String {
     m.registry.render()
 }
 
-fn healthz(shared: &Arc<Shared>) -> String {
+fn healthz(shared: &Shared) -> String {
+    let conns = shared.transport.metrics();
     let sdp_cache = match &shared.sdp_cache {
         None => Json::Obj(vec![("enabled".into(), Json::Bool(false))]),
         Some(cache) => {
@@ -597,16 +427,10 @@ fn healthz(shared: &Arc<Shared>) -> String {
             Json::Obj(vec![
                 (
                     "active".into(),
-                    Json::UInt(shared.conn_active.load(Ordering::Relaxed)),
+                    Json::UInt(u64::try_from(conns.connections_active.get()).unwrap_or(0)),
                 ),
-                (
-                    "reaped".into(),
-                    Json::UInt(shared.conn_reaped.load(Ordering::Relaxed)),
-                ),
-                (
-                    "shed".into(),
-                    Json::UInt(shared.conn_shed.load(Ordering::Relaxed)),
-                ),
+                ("reaped".into(), Json::UInt(conns.connections_reaped.get())),
+                ("shed".into(), Json::UInt(conns.connections_shed.get())),
                 (
                     "max".into(),
                     Json::UInt(shared.cfg.max_connections as u64),
@@ -615,7 +439,7 @@ fn healthz(shared: &Arc<Shared>) -> String {
                     "idle_timeout_ms".into(),
                     Json::UInt(shared.cfg.idle_timeout_ms),
                 ),
-                ("backend".into(), Json::str(shared.backend)),
+                ("backend".into(), Json::str(shared.transport.backend())),
             ]),
         ),
         ("sdp_cache".into(), sdp_cache),
@@ -709,10 +533,10 @@ fn run_workload(
 /// contract. A miss parks the connection; the worker renders (or
 /// error-renders) the reply, inserts it into the cache, and delivers it
 /// as a [`Completion`] through the [`Mailbox`].
-fn solve(body: &[u8], shared: &Arc<Shared>, reply_to: ReplyTo) -> Result<Routed, HttpError> {
+fn solve(body: &[u8], shared: &Shared, reply_to: ReplyTo) -> Result<Routed, HttpError> {
     let workload =
         wire::parse_request(body, &shared.defaults).map_err(|e| HttpError::new(400, e.0))?;
-    let family = workload_family(&workload);
+    let family = workload.family();
     let meta = |outcome: &'static str| ResponseMeta {
         family,
         outcome,
@@ -730,10 +554,11 @@ fn solve(body: &[u8], shared: &Arc<Shared>, reply_to: ReplyTo) -> Result<Routed,
     // The closure captures the mailbox, caches, metrics, and defaults
     // only — never `Arc<Shared>`, which owns the pool it runs on (see
     // the `Shared` docs).
-    let mailbox = Arc::clone(&shared.mailbox);
+    let mailbox = Arc::clone(shared.transport.mailbox());
     let sdp_cache = shared.sdp_cache.clone();
     let metrics = Arc::clone(&shared.metrics);
     let defaults = shared.defaults.clone();
+    let miss = meta("miss");
     shared
         .pool
         .try_submit(move || {
@@ -761,22 +586,22 @@ fn solve(body: &[u8], shared: &Arc<Shared>, reply_to: ReplyTo) -> Result<Routed,
                 Err((status, message)) => (status, wire::error_body(&message)),
             };
             mailbox.deliver(Completion {
-                token: reply_to.token,
-                generation: reply_to.generation,
+                reply_to,
                 status,
                 body,
+                meta: miss,
             });
         })
         .map_err(|_| HttpError::new(503, "solver queue is full, retry later"))?;
-    Ok(Routed::Dispatched(meta("miss")))
+    Ok(Routed::Dispatched)
 }
 
 /// `POST /jobs`: parse, record, schedule; the worker finishes the
 /// record. Answers 202 with the job id.
-fn submit_job(body: &[u8], shared: &Arc<Shared>) -> Result<Routed, HttpError> {
+fn submit_job(body: &[u8], shared: &Shared) -> Result<Routed, HttpError> {
     let workload =
         wire::parse_request(body, &shared.defaults).map_err(|e| HttpError::new(400, e.0))?;
-    let family = workload_family(&workload);
+    let family = workload.family();
     let meta = |outcome: &'static str| ResponseMeta {
         family,
         outcome,
@@ -850,7 +675,7 @@ fn submit_job(body: &[u8], shared: &Arc<Shared>) -> Result<Routed, HttpError> {
 }
 
 /// `GET /jobs/{id}`: snapshot the record.
-fn poll_job(path: &str, shared: &Arc<Shared>) -> Result<(u16, String), HttpError> {
+fn poll_job(path: &str, shared: &Shared) -> Result<(u16, String), HttpError> {
     let id: u64 = path
         .strip_prefix("/jobs/")
         .and_then(|raw| raw.parse().ok())

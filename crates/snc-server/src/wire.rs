@@ -194,6 +194,19 @@ pub enum Workload {
     MaxDicut(MaxDicutJob),
 }
 
+impl Workload {
+    /// The circuit-family metric label (`lif-gw` … / `max2sat` /
+    /// `maxdicut`), shared by both tiers so their series join.
+    pub fn family(&self) -> &'static str {
+        match self {
+            Workload::MaxCut(job) => job.spec.family.name(),
+            Workload::WeightedMaxCut(job) => job.spec.family.name(),
+            Workload::Max2Sat(_) => "max2sat",
+            Workload::MaxDicut(_) => "maxdicut",
+        }
+    }
+}
+
 /// A request-rejection message (answered as HTTP 400).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WireError(pub String);

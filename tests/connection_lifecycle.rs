@@ -1,5 +1,6 @@
 //! Connection-lifecycle conformance suite for the readiness-driven
-//! serving core (`snc-server/src/event.rs`), over real TCP.
+//! serving core (`snc-server/src/event.rs`) both tiers run on, over
+//! real TCP.
 //!
 //! What the reactor must survive, per test:
 //!
@@ -23,6 +24,10 @@
 //!   mid-body frees the connection slot;
 //! * **backend parity** — the same lifecycle holds on the portable
 //!   `poll` backend, not just epoll;
+//! * **router parity** — `snc-router` runs the same reactor, so an
+//!   in-process router in front of an in-process backend passes the
+//!   knob-free cases too: pipelining, prompt shutdown, and slots freed
+//!   by mid-request disconnects (read off the router's `/metrics`);
 //! * **unsafe confinement** — the `unsafe` token appears nowhere in the
 //!   workspace's Rust sources outside `snc-server/src/sys/`.
 //!
@@ -32,7 +37,9 @@
 
 mod common;
 
+use snc_router::{serve_router, BackendSpec, RouterConfig, RouterHandle};
 use snc_server::sys::Backend;
+use snc_server::ServerHandle;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Mutex;
@@ -144,6 +151,27 @@ fn normalize_head(head: &str) -> String {
         .join("\n")
 }
 
+/// An in-process router in front of one in-process backend.
+fn start_router(backend: &ServerHandle) -> RouterHandle {
+    serve_router(RouterConfig {
+        addr: "127.0.0.1:0".into(),
+        backends: vec![BackendSpec {
+            addr: backend.addr(),
+            weight: 1,
+        }],
+        probe_interval: Duration::from_millis(100),
+        ..RouterConfig::default()
+    })
+    .expect("bind router")
+}
+
+/// One unlabelled sample's value off a `/metrics` text exposition.
+fn metric_value(text: &str, name: &str) -> u64 {
+    text.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.trim().parse::<f64>().ok())
+        .unwrap_or_else(|| panic!("{name} missing from:\n{text}")) as u64
+}
+
 /// The `connections` gauge object off `/healthz`.
 fn connection_gauges(body: &str) -> (u64, u64, u64) {
     let doc = snc_experiments::json::parse(body).expect("healthz JSON");
@@ -160,8 +188,11 @@ fn pipelined_matches_sequential_on(backend: Backend) {
         cfg.threads = 2;
         cfg.backend = backend;
     });
-    let addr = handle.addr();
+    pipelined_matches_sequential(handle.addr());
+    handle.shutdown();
+}
 
+fn pipelined_matches_sequential(addr: SocketAddr) {
     // Sequential reference: one request at a time on its own keep-alive
     // connection. The 404 probe checks that routing errors keep the
     // connection alive, mid-pipeline, exactly like the old core.
@@ -212,7 +243,6 @@ fn pipelined_matches_sequential_on(backend: Backend) {
         );
         assert_eq!(&body, ref_body, "response {i} body diverged from sequential");
     }
-    handle.shutdown();
 }
 
 #[test]
@@ -223,6 +253,20 @@ fn pipelined_burst_matches_sequential_byte_for_byte() {
 #[test]
 fn poll_backend_pipelines_identically() {
     pipelined_matches_sequential_on(Backend::Poll);
+}
+
+#[test]
+fn router_pipelined_burst_matches_sequential_byte_for_byte() {
+    // The router runs the same reactor: a pipelined burst through it
+    // (solves parked on forward threads, a relayed 404 mid-pipeline)
+    // answers byte-identically to the same requests issued one by one.
+    let backend = common::start_server(|cfg| {
+        cfg.threads = 2;
+    });
+    let router = start_router(&backend);
+    pipelined_matches_sequential(router.addr());
+    router.shutdown();
+    backend.shutdown();
 }
 
 fn slowloris_reaped_on(backend: Backend) {
@@ -469,6 +513,22 @@ fn shutdown_completes_under_100ms_with_idle_keepalive_clients() {
         cfg.threads = 2;
     });
     let addr = handle.addr();
+    shutdown_is_prompt_with_idle_clients(addr, || handle.shutdown());
+}
+
+#[test]
+fn router_shutdown_completes_under_100ms_with_idle_keepalive_clients() {
+    let _guard = timing_guard();
+    let backend = common::start_server(|cfg| {
+        cfg.threads = 2;
+    });
+    let router = start_router(&backend);
+    let addr = router.addr();
+    shutdown_is_prompt_with_idle_clients(addr, || router.shutdown());
+    backend.shutdown();
+}
+
+fn shutdown_is_prompt_with_idle_clients(addr: SocketAddr, shutdown: impl FnOnce()) {
     // Idle keep-alive clients, each proven admitted by a round trip.
     let mut idle: Vec<KeepAlive> = (0..6).map(|_| KeepAlive::connect(addr)).collect();
     for conn in &mut idle {
@@ -476,7 +536,7 @@ fn shutdown_completes_under_100ms_with_idle_keepalive_clients() {
         assert_eq!(conn.read_response().0, 200);
     }
     let started = Instant::now();
-    handle.shutdown();
+    shutdown();
     let elapsed = started.elapsed();
     assert!(
         elapsed < Duration::from_millis(100),
@@ -500,7 +560,40 @@ fn mid_request_disconnects_free_their_slots() {
         cfg.threads = 2;
     });
     let addr = handle.addr();
+    disconnects_free_their_slots(addr, || {
+        let (status, body) = common::roundtrip(addr, "GET", "/healthz", "");
+        assert_eq!(status, 200);
+        connection_gauges(&body)
+    });
+    handle.shutdown();
+}
 
+#[test]
+fn router_mid_request_disconnects_free_their_slots() {
+    // Same check against the router, read off its /metrics scrape (the
+    // router's /healthz reports the fleet, not its connections).
+    let backend = common::start_server(|cfg| {
+        cfg.threads = 2;
+    });
+    let router = start_router(&backend);
+    let addr = router.addr();
+    disconnects_free_their_slots(addr, || {
+        let (status, text) = common::roundtrip(addr, "GET", "/metrics", "");
+        assert_eq!(status, 200);
+        (
+            metric_value(&text, "snc_reactor_connections_active"),
+            metric_value(&text, "snc_router_connections_reaped_total"),
+            metric_value(&text, "snc_router_connections_shed_total"),
+        )
+    });
+    router.shutdown();
+    backend.shutdown();
+}
+
+/// Vanishes mid-header and mid-body, then waits for `gauges` (active,
+/// reaped, shed — read over a connection of its own) to show only that
+/// probe connection alive.
+fn disconnects_free_their_slots(addr: SocketAddr, gauges: impl Fn() -> (u64, u64, u64)) {
     // Vanish mid-header.
     let mut mid_header = TcpStream::connect(addr).expect("connect");
     mid_header.write_all(b"POST /solve HTTP/1.1\r\nContent-Le").unwrap();
@@ -519,9 +612,7 @@ fn mid_request_disconnects_free_their_slots() {
     // only one alive at gauge-render time).
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let (status, body) = common::roundtrip(addr, "GET", "/healthz", "");
-        assert_eq!(status, 200);
-        let (active, reaped, shed) = connection_gauges(&body);
+        let (active, reaped, shed) = gauges();
         if active == 1 {
             assert_eq!(reaped, 0, "disconnects are not reaps");
             assert_eq!(shed, 0, "disconnects are not sheds");
@@ -533,7 +624,6 @@ fn mid_request_disconnects_free_their_slots() {
         );
         std::thread::sleep(Duration::from_millis(20));
     }
-    handle.shutdown();
 }
 
 #[test]

@@ -413,6 +413,9 @@ fn router_exposition_is_conformant_and_covers_the_fleet() {
         "snc_router_requests_routed_total",
         "snc_router_backend_routed_total",
         "snc_router_backends_up",
+        // The router runs the backends' reactor, instruments included.
+        "snc_reactor_connections_active",
+        "snc_reactor_ticks_total",
     ] {
         assert!(
             parsed.types.iter().any(|(name, _)| name == expected),
