@@ -79,6 +79,9 @@ pub trait CutGraph {
     /// Every edge once as `(u, v, w)` with `u < v`.
     fn weighted_edges(&self) -> impl Iterator<Item = (u32, u32, f64)> + '_;
 
+    /// The total edge weight `Σ w_ij`: exactly `m` on [`Graph`].
+    fn total_weight(&self) -> f64;
+
     /// Whether no edge weight is negative (the spectral operators and
     /// the LIF-Trevisan circuit need this).
     fn is_nonnegative(&self) -> bool;
@@ -116,6 +119,10 @@ impl CutGraph for Graph {
 
     fn weighted_edges(&self) -> impl Iterator<Item = (u32, u32, f64)> + '_ {
         self.edges().map(|(u, v)| (u, v, 1.0))
+    }
+
+    fn total_weight(&self) -> f64 {
+        Graph::m(self) as f64
     }
 
     fn is_nonnegative(&self) -> bool {

@@ -250,6 +250,10 @@ impl CutGraph for WeightedGraph {
         self.edges()
     }
 
+    fn total_weight(&self) -> f64 {
+        WeightedGraph::total_weight(self)
+    }
+
     fn is_nonnegative(&self) -> bool {
         WeightedGraph::is_nonnegative(self)
     }

@@ -15,7 +15,7 @@
 //! same sampling stage in "hardware".
 
 use crate::sampling::CutSampler;
-use snc_graph::{CutAssignment, Graph};
+use snc_graph::{CutAssignment, CutGraph, Graph};
 use snc_linalg::{sdp, DMatrix, GaussianSampler, LinalgError, SdpConfig};
 
 /// Configuration for the software GW solver.
@@ -37,15 +37,20 @@ pub struct GwSolution {
     pub sdp_bound: f64,
 }
 
-/// Solves the GW SDP for a graph.
+/// Solves the GW SDP for a graph, unweighted or weighted: the couplings
+/// are its [`CutGraph::weighted_edges`], and the bound is on the
+/// (weighted) maximum cut.
 ///
 /// # Errors
 ///
 /// Propagates [`LinalgError`] from the SDP solver.
-pub fn solve_gw(graph: &Graph, cfg: &GwConfig) -> Result<GwSolution, LinalgError> {
-    let edges: Vec<(u32, u32)> = graph.edges().collect();
-    let sol = sdp::solve_maxcut_sdp(graph.n(), &edges, &cfg.sdp)?;
-    let (factors, sdp_bound) = sol.into_factor_and_bound(graph.m() as f64);
+pub fn solve_gw<G: CutGraph>(graph: &G, cfg: &GwConfig) -> Result<GwSolution, LinalgError> {
+    let couplings: Vec<sdp::Coupling> = graph
+        .weighted_edges()
+        .map(|(i, j, w)| sdp::Coupling { i, j, w })
+        .collect();
+    let sol = sdp::solve_weighted_sdp(graph.n(), &couplings, &cfg.sdp)?;
+    let (factors, sdp_bound) = sol.into_factor_and_bound(graph.total_weight());
     Ok(GwSolution { factors, sdp_bound })
 }
 
@@ -169,6 +174,35 @@ mod tests {
             mean / sol.sdp_bound > 0.8,
             "mean {mean} vs bound {}",
             sol.sdp_bound
+        );
+    }
+
+    #[test]
+    fn both_graph_kinds_keep_their_sdp_entry_points_bounds_bit_for_bit() {
+        // Unweighted: the same factor and bound as `solve_maxcut_sdp` with
+        // total weight `m`.
+        let cfg = GwConfig::default();
+        let g = gnp(16, 0.4, 5).unwrap();
+        let edges: Vec<(u32, u32)> = g.edges().collect();
+        let reference = sdp::solve_maxcut_sdp(g.n(), &edges, &cfg.sdp).unwrap();
+        let (factors, bound) = reference.into_factor_and_bound(g.m() as f64);
+        let sol = solve_gw(&g, &cfg).unwrap();
+        assert_eq!(sol.factors, factors);
+        assert_eq!(sol.sdp_bound.to_bits(), bound.to_bits());
+        // Weighted: the bound charges `WeightedGraph::total_weight`.
+        let w = snc_graph::WeightedGraph::from_weighted_edges(
+            4,
+            &[(0, 1, 2.5), (1, 2, 0.1), (2, 3, 1.0 / 3.0), (3, 0, 0.7)],
+        )
+        .unwrap();
+        let couplings: Vec<sdp::Coupling> =
+            w.edges().map(|(i, j, w)| sdp::Coupling { i, j, w }).collect();
+        let reference = sdp::solve_weighted_sdp(w.n(), &couplings, &cfg.sdp).unwrap();
+        let sol = solve_gw(&w, &cfg).unwrap();
+        assert_eq!(sol.factors, reference.factors);
+        assert_eq!(
+            sol.sdp_bound.to_bits(),
+            reference.cut_upper_bound(w.total_weight()).to_bits()
         );
     }
 }

@@ -25,9 +25,11 @@
 //!   parallel sampling runner.
 //! * [`extensions`] — MAX2SAT and MAXDICUT via the same SDP + rounding
 //!   machinery, the generalization sketched in the Discussion (§VI).
-//! * [`cache`] — the deterministic [`SdpCache`]: memoized SDP
-//!   factor/bound pairs keyed by `(graph fingerprint, sdp seed, rank)`,
-//!   so repeated LIF-GW solves of one graph pay the offline stage once.
+//! * [`cache`] — the workspace's one bounded, sharded LRU core
+//!   ([`cache::ShardedLru`]) and the deterministic [`SdpCache`] on it:
+//!   memoized SDP factor/bound pairs keyed by `(graph fingerprint, sdp
+//!   seed, rank)`, so repeated LIF-GW solves of one graph pay the
+//!   offline stage once.
 //! * [`mod@solve`] — request→circuit dispatch: one deterministic entry point
 //!   turning (graph, family, budget, replicas, seed) into the best cut,
 //!   its partition, and a merged trace — the unit of work the

@@ -28,7 +28,6 @@ use crate::circuits::lif_gw::{BatchedLifGwCircuit, LifGwConfig};
 use crate::circuits::lif_trevisan::{BatchedLifTrevisanCircuit, LifTrevisanConfig};
 use crate::gw::{solve_gw, GwConfig, GwSolution};
 use crate::sampling::{log2_checkpoints, tracked_value, BestTrace};
-use crate::weighted::solve_gw_weighted;
 use snc_devices::SplitMix64;
 use snc_graph::{CutAssignment, CutGraph, CutTracker, CutValue, Graph, WeightedGraph};
 use snc_linalg::{LinalgError, SdpConfig};
@@ -286,7 +285,7 @@ impl SolveGraph for WeightedGraph {
         cfg: &SdpConfig,
         _cache: Option<&SdpCache>,
     ) -> Result<(Arc<GwSolution>, bool), LinalgError> {
-        Ok((Arc::new(solve_gw_weighted(self, cfg)?), true))
+        Ok((Arc::new(solve_gw(self, &GwConfig { sdp: *cfg })?), true))
     }
 }
 

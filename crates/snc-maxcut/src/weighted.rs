@@ -3,41 +3,16 @@
 //! The paper's formulation (§II.A) is already weighted (`A_ij` is any
 //! adjacency matrix), and two of its Table-I networks are weighted. The
 //! circuits, trackers and traces run on [`WeightedGraph`]s through the
-//! [`CutGraph`](snc_graph::CutGraph) trait; this module holds the rest:
+//! [`CutGraph`](snc_graph::CutGraph) trait, and so does the GW SDP
+//! ([`solve_gw`](crate::solve_gw)); this module holds the rest:
 //!
-//! * [`solve_gw_weighted`] — the GW SDP with weighted couplings; the
-//!   factor matrix feeds the same [`GwSampler`](crate::GwSampler)/[`LifGwCircuit`](crate::LifGwCircuit)
-//!   machinery unchanged (rounding only looks at the factors).
 //! * [`solve_trevisan_weighted`] — minimum eigenvector of the *weighted*
 //!   Trevisan matrix `I + D_w^{-1/2} A_w D_w^{-1/2}`.
 //! * [`brute_force_weighted`] — exact ground truth for small instances.
 
-use crate::gw::GwSolution;
 use snc_graph::weighted::WeightedTrevisanOperator;
 use snc_graph::{CutAssignment, WeightedGraph};
 use snc_linalg::eigen::{extreme_eigenpair, Which};
-use snc_linalg::{sdp, LinalgError, SdpConfig};
-
-/// Solves the weighted GW SDP; the bound is on the weighted maximum cut.
-///
-/// # Errors
-///
-/// Propagates SDP solver errors.
-pub fn solve_gw_weighted(
-    graph: &WeightedGraph,
-    cfg: &SdpConfig,
-) -> Result<GwSolution, LinalgError> {
-    let couplings: Vec<sdp::Coupling> = graph
-        .edges()
-        .map(|(i, j, w)| sdp::Coupling { i, j, w })
-        .collect();
-    let sol = sdp::solve_weighted_sdp(graph.n(), &couplings, cfg)?;
-    let sdp_bound = sol.cut_upper_bound(graph.total_weight());
-    Ok(GwSolution {
-        factors: sol.factors,
-        sdp_bound,
-    })
-}
 
 /// Result of the weighted Trevisan spectral solver.
 #[derive(Clone, Debug)]
@@ -110,7 +85,7 @@ pub fn brute_force_weighted(graph: &WeightedGraph) -> (CutAssignment, f64) {
 mod tests {
     use super::*;
     use crate::circuits::lif_trevisan::{LifTrevisanCircuit, LifTrevisanConfig};
-    use crate::gw::GwSampler;
+    use crate::gw::{solve_gw, GwConfig, GwSampler};
     use crate::sampling::{log2_checkpoints, sample_best_trace};
     use snc_graph::generators::structured::{complete_bipartite, cycle};
     use snc_graph::weighted::{randomize_weights, WeightDistribution};
@@ -147,7 +122,7 @@ mod tests {
         for seed in 0..3u64 {
             let g = weighted_fixture(seed);
             let (_, opt) = brute_force_weighted(&g);
-            let sol = solve_gw_weighted(&g, &SdpConfig::default()).unwrap();
+            let sol = solve_gw(&g, &GwConfig::default()).unwrap();
             assert!(sol.sdp_bound + 1e-6 >= opt, "bound {} < {opt}", sol.sdp_bound);
             let mut sampler = GwSampler::new(sol.factors, seed);
             let trace = sample_best_trace(&mut sampler, &g, &log2_checkpoints(64));
@@ -201,7 +176,7 @@ mod tests {
     #[test]
     fn trace_is_monotone() {
         let g = weighted_fixture(9);
-        let sol = solve_gw_weighted(&g, &SdpConfig::default()).unwrap();
+        let sol = solve_gw(&g, &GwConfig::default()).unwrap();
         let mut sampler = GwSampler::new(sol.factors, 1);
         let trace = sample_best_trace(&mut sampler, &g, &log2_checkpoints(32));
         assert!(trace.best.windows(2).all(|w| w[0] <= w[1]));

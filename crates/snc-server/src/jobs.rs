@@ -2,14 +2,17 @@
 //!
 //! `POST /jobs` inserts a record and returns its id; the worker closure
 //! advances the record through `queued → running → done/failed`;
-//! `GET /jobs/{id}` snapshots it. The store is bounded: past its
-//! capacity the oldest *finished* record is evicted first (falling back
-//! to the oldest record of any state), so a long-running server cannot
-//! accumulate results without bound. A worker finishing an evicted job
-//! is a harmless no-op.
+//! `GET /jobs/{id}` snapshots it. A finished job holds its result as the
+//! rendered response body — the same bytes `POST /solve` answers — so a
+//! job born `done` from a response-cache hit stores the cached body as
+//! is, and a poll embeds it verbatim.
+//!
+//! The store is bounded: past its capacity the oldest *finished* record
+//! is evicted first (falling back to the oldest record of any state), so
+//! a long-running server cannot accumulate results without bound. A
+//! worker finishing an evicted job is a harmless no-op.
 
 use parking_lot::Mutex;
-use snc_experiments::json::Json;
 use std::collections::{HashMap, VecDeque};
 
 /// Lifecycle state of an async job.
@@ -19,8 +22,8 @@ pub enum JobStatus {
     Queued,
     /// A worker is solving it.
     Running,
-    /// Finished; the deterministic result body is stored as a JSON tree.
-    Done(Json),
+    /// Finished; holds the deterministic rendered result body.
+    Done(String),
     /// Rejected or failed with a message.
     Failed(String),
 }
@@ -99,7 +102,7 @@ impl JobStore {
     }
 
     /// Finishes `id` with a result body or an error (no-op if evicted).
-    pub fn finish(&self, id: u64, result: Result<Json, String>) {
+    pub fn finish(&self, id: u64, result: Result<String, String>) {
         let mut inner = self.inner.lock();
         if let Some(status) = inner.map.get_mut(&id) {
             *status = match result {
@@ -144,8 +147,8 @@ mod tests {
         assert_eq!(store.get(id), Some(JobStatus::Queued));
         store.set_running(id);
         assert_eq!(store.get(id), Some(JobStatus::Running));
-        store.finish(id, Ok(Json::UInt(7)));
-        assert_eq!(store.get(id), Some(JobStatus::Done(Json::UInt(7))));
+        store.finish(id, Ok("7".into()));
+        assert_eq!(store.get(id), Some(JobStatus::Done("7".into())));
         store.finish(id, Err("late".into()));
         assert_eq!(store.get(id), Some(JobStatus::Failed("late".into())));
         assert_eq!(store.get(id + 1), None);
@@ -168,7 +171,7 @@ mod tests {
         let a = store.insert();
         let b = store.insert();
         let c = store.insert();
-        store.finish(b, Ok(Json::Null));
+        store.finish(b, Ok("null".into()));
         let d = store.insert();
         // b (oldest finished) was evicted, not a (older but unfinished).
         assert_eq!(store.get(b), None);
@@ -189,7 +192,7 @@ mod tests {
         let a = store.insert();
         let b = store.insert();
         assert_eq!(store.get(a), None);
-        store.finish(a, Ok(Json::Null));
+        store.finish(a, Ok("null".into()));
         assert_eq!(store.get(a), None, "eviction is final");
         assert!(store.get(b).is_some());
     }
@@ -208,7 +211,7 @@ mod tests {
         assert_eq!(store.get(a), None, "the single slot was recycled");
         assert_eq!(store.get(b), Some(JobStatus::Queued));
         assert_eq!(store.len(), 1);
-        store.finish(b, Ok(Json::Null));
+        store.finish(b, Ok("null".into()));
         let c = store.insert();
         assert_eq!(store.get(b), None, "finished record evicted first");
         assert!(store.get(c).is_some());

@@ -85,5 +85,5 @@ pub mod server;
 pub mod sys;
 pub mod wire;
 
-pub use cache::{ResponseCache, ResponseCacheStats, ResponseKey};
+pub use cache::{ResponseCache, ResponseKey};
 pub use server::{serve, ServerConfig, ServerHandle};

@@ -23,7 +23,7 @@
 //! `snc_reactor_*` for the event loop, `snc_solver_*` for stage
 //! timers, `snc_cache_*` for both caches.
 
-use snc_maxcut::StageTimings;
+use snc_maxcut::{CacheStats, StageTimings};
 use snc_metrics::{Counter, Gauge, Histogram, Registry};
 use std::sync::Arc;
 
@@ -154,20 +154,20 @@ impl ServerMetrics {
 
     /// Mirrors one cache's lifetime stats onto the registry (called at
     /// scrape time with values read from the owning cache).
-    pub fn sync_cache(&self, cache: &'static str, hits: u64, misses: u64, evictions: u64, entries: u64) {
+    pub fn sync_cache(&self, cache: &'static str, stats: &CacheStats) {
         let labels = [("cache", cache)];
         self.registry
             .counter("snc_cache_hits_total", "Cache hits", &labels)
-            .set_total(hits);
+            .set_total(stats.hits);
         self.registry
             .counter("snc_cache_misses_total", "Cache misses", &labels)
-            .set_total(misses);
+            .set_total(stats.misses);
         self.registry
             .counter("snc_cache_evictions_total", "Cache evictions", &labels)
-            .set_total(evictions);
+            .set_total(stats.evictions);
         self.registry
             .gauge("snc_cache_entries", "Entries resident in the cache", &labels)
-            .set(entries as i64);
+            .set(stats.entries as i64);
     }
 }
 
@@ -215,8 +215,15 @@ mod tests {
     #[test]
     fn cache_sync_is_idempotent_per_scrape() {
         let m = ServerMetrics::new();
-        m.sync_cache("sdp", 5, 2, 1, 2);
-        m.sync_cache("sdp", 7, 3, 1, 3);
+        let stats = |hits, misses, entries| CacheStats {
+            hits,
+            misses,
+            evictions: 1,
+            entries,
+            ..CacheStats::default()
+        };
+        m.sync_cache("sdp", &stats(5, 2, 2));
+        m.sync_cache("sdp", &stats(7, 3, 3));
         let text = m.registry.render();
         assert!(text.contains("snc_cache_hits_total{cache=\"sdp\"} 7"));
         assert!(text.contains("snc_cache_entries{cache=\"sdp\"} 3"));

@@ -6,29 +6,40 @@
 //!
 //! ## Data flow
 //!
+//! `POST /solve` and `POST /jobs` share one path,
+//! `solve_or_dispatch`: parse → response-cache key → lookup → a hit
+//! answers inline, a miss submits one worker closure. The two routes
+//! differ only in the closure's sink.
+//!
 //! ```text
 //! TcpListener ──accept──▶ reactor loop (crate::event, one thread)
 //!      │  (budget: over --max-connections ⇒ immediate 503 + close)
 //!      │                        │  incremental parse (http::RequestParser)
 //!      │                        ▼
-//!      │                route(): /healthz, /, GET /jobs/{id}, parse
-//!      │                errors, and ResponseCache hits answer INLINE
-//!      │                on the loop — zero thread handoff ───────────┐
-//!      │                        │ solve miss                         │
-//!      │                        ▼                                    │
-//!      │                bounded WorkerPool queue  ──503 when full    │
-//!      │                        │                                    │
-//!      │                        ▼                                    │
-//!      │                worker, by workload:                         │
-//!      │                  graph or   → snc_maxcut::solve_with_cache  │
+//!      │                route(): /healthz, /metrics, GET /jobs/{id} and
+//!      │                parse errors answer INLINE on the loop
+//!      │                        │ POST /solve, POST /jobs
+//!      │                        ▼
+//!      │                solve_or_dispatch: parse → response_key → get
+//!      │                  hit  → /solve: the stored body ─────────────┐
+//!      │                         /jobs: a record born `done`, 202     │
+//!      │                        │ miss                                │
+//!      │                        ▼                                     │
+//!      │                bounded WorkerPool queue  ──503 when full     │
+//!      │                        │                                     │
+//!      │                        ▼                                     │
+//!      │                one worker closure: run_workload             │
+//!      │                  graph or   → snc_maxcut::solve_with_cache   │
 //!      │                  weighted     (SdpCache: per-graph factor/bound
-//!      │                        │       memo for unweighted LIF-GW's │
-//!      │                        │       offline stage)               │
-//!      │                  max2sat    → extensions::solve_gw_max2sat  │
-//!      │                  maxdicut   → extensions::solve_gw_maxdicut │
-//!      │                        │                                    │
-//!      │                completion → Mailbox + wakeup pipe ──────────┤
-//!      │                        ▼                                    ▼
+//!      │                        │       memo for unweighted LIF-GW's  │
+//!      │                        │       offline stage)                │
+//!      │                  max2sat    → extensions::solve_gw_max2sat   │
+//!      │                  maxdicut   → extensions::solve_gw_maxdicut  │
+//!      │                then record stages, render, insert into the   │
+//!      │                ResponseCache, and hand the body to the sink: │
+//!      │                  /solve → Completion → Mailbox + wakeup ─────┤
+//!      │                  /jobs  → JobStore::finish (202 `queued`     │
+//!      │                           answered at submit)                ▼
 //!      └──────────◀── reactor writes the deterministic JSON body
 //!                      (+ x-snc-elapsed-us header), resuming across
 //!                      partial writes as the socket drains
@@ -54,7 +65,8 @@
 
 use crate::cache::ResponseCache;
 use crate::event::{
-    self, Completion, Reactor, ReactorHandle, ReplyTo, ResponseMeta, Routed, Service, Transport,
+    self, Completion, Mailbox, Reactor, ReactorHandle, ReplyTo, ResponseMeta, Routed, Service,
+    Transport,
 };
 use crate::http::{HttpError, Request};
 use crate::jobs::{JobStatus, JobStore};
@@ -65,7 +77,7 @@ use snc_devices::SplitMix64;
 use snc_experiments::json::Json;
 use snc_experiments::runner::WorkerPool;
 use snc_linalg::SdpConfig;
-use snc_maxcut::{SdpCache, StageTimings};
+use snc_maxcut::{CacheStats, SdpCache, StageTimings};
 use snc_metrics::Histogram;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -179,15 +191,15 @@ impl ServerConfig {
 
 /// The solve service the reactor routes into.
 ///
-/// `store` is its own `Arc` so async job closures can capture *only*
-/// the store: a queued job must never own (and therefore never be the
-/// last owner of, and drop) the pool it runs on — the pool's teardown
-/// joins its workers, which must not happen on a worker thread. The
-/// [`Transport`] (whose mailbox solve closures deliver to) is split out
-/// for the same reason: solve closures capture the mailbox, caches, and
-/// store — never `Shared` — which the reactor thread owns and drops as
-/// it exits, so joining the reactor deterministically drains and joins
-/// the pool.
+/// `store` is its own `Arc` so a worker closure can capture the store
+/// without `Shared`: a queued closure must never own (and therefore
+/// never be the last owner of, and drop) the pool it runs on — the
+/// pool's teardown joins its workers, which must not happen on a worker
+/// thread. The [`Transport`] (whose mailbox `/solve` misses deliver to)
+/// is split out for the same reason: worker closures capture their sink
+/// (mailbox or store), the caches, and the metrics — never `Shared` —
+/// which the reactor thread owns and drops as it exits, so joining the
+/// reactor deterministically drains and joins the pool.
 pub(crate) struct Shared {
     pub(crate) cfg: ServerConfig,
     pub(crate) defaults: RequestDefaults,
@@ -286,7 +298,8 @@ impl ServerHandle {
 }
 
 /// Everything except an uncached `POST /solve` answers
-/// [`Routed::Ready`] inline on the reactor.
+/// [`Routed::Ready`] inline on the reactor (an uncached `POST /jobs`
+/// answers its `202` inline and finishes on a worker).
 impl Service for Shared {
     fn route(
         &self,
@@ -307,11 +320,11 @@ impl Service for Shared {
             )),
             ("POST", "/solve") => {
                 self.solve_requests.fetch_add(1, Ordering::Relaxed);
-                solve(&request.body, self, reply_to)
+                solve_or_dispatch(&request.body, self, Some(reply_to))
             }
             ("POST", "/jobs") => {
                 self.solve_requests.fetch_add(1, Ordering::Relaxed);
-                submit_job(&request.body, self)
+                solve_or_dispatch(&request.body, self, None)
             }
             ("GET", path) if path.starts_with("/jobs/") => poll_job(path, self)
                 .map(|(status, body)| Routed::Ready(status, body, ResponseMeta::new("jobs_poll"))),
@@ -334,19 +347,18 @@ impl Service for Shared {
 fn metrics_body(shared: &Shared) -> String {
     let m = &shared.metrics;
     if let Some(cache) = &shared.sdp_cache {
-        let s = cache.stats();
-        m.sync_cache("sdp", s.hits, s.misses, s.evictions, s.entries);
+        m.sync_cache("sdp", &cache.stats());
     }
     if let Some(cache) = &shared.response_cache {
         let s = cache.stats();
-        m.sync_cache("response", s.hits, s.misses, s.evictions, s.entries);
+        m.sync_cache("response", &s);
         m.registry
             .gauge(
                 "snc_cache_bytes",
                 "Bytes resident in the cache",
                 &[("cache", "response")],
             )
-            .set(s.bytes as i64);
+            .set(s.used as i64);
     }
     m.registry
         .counter(
@@ -374,35 +386,31 @@ fn metrics_body(shared: &Shared) -> String {
 
 fn healthz(shared: &Shared) -> String {
     let conns = shared.transport.metrics();
-    let sdp_cache = match &shared.sdp_cache {
-        None => Json::Obj(vec![("enabled".into(), Json::Bool(false))]),
-        Some(cache) => {
-            let stats = cache.stats();
-            Json::Obj(vec![
-                ("enabled".into(), Json::Bool(true)),
-                ("capacity".into(), Json::UInt(cache.capacity() as u64)),
-                ("entries".into(), Json::UInt(stats.entries)),
-                ("hits".into(), Json::UInt(stats.hits)),
-                ("misses".into(), Json::UInt(stats.misses)),
-                ("evictions".into(), Json::UInt(stats.evictions)),
-            ])
-        }
+    // Occupancy is reported in each cache's own unit: entries for the
+    // SDP cache, bytes for the response cache.
+    let cache = |stats: Option<CacheStats>, occupancy: fn(&CacheStats) -> Vec<(String, Json)>| {
+        let Some(stats) = stats else {
+            return Json::Obj(vec![("enabled".into(), Json::Bool(false))]);
+        };
+        let mut members = vec![("enabled".into(), Json::Bool(true))];
+        members.extend(occupancy(&stats));
+        members.extend([
+            ("entries".into(), Json::UInt(stats.entries)),
+            ("hits".into(), Json::UInt(stats.hits)),
+            ("misses".into(), Json::UInt(stats.misses)),
+            ("evictions".into(), Json::UInt(stats.evictions)),
+        ]);
+        Json::Obj(members)
     };
-    let response_cache = match &shared.response_cache {
-        None => Json::Obj(vec![("enabled".into(), Json::Bool(false))]),
-        Some(cache) => {
-            let stats = cache.stats();
-            Json::Obj(vec![
-                ("enabled".into(), Json::Bool(true)),
-                ("capacity_bytes".into(), Json::UInt(stats.capacity_bytes)),
-                ("bytes".into(), Json::UInt(stats.bytes)),
-                ("entries".into(), Json::UInt(stats.entries)),
-                ("hits".into(), Json::UInt(stats.hits)),
-                ("misses".into(), Json::UInt(stats.misses)),
-                ("evictions".into(), Json::UInt(stats.evictions)),
-            ])
-        }
-    };
+    let sdp_cache = cache(shared.sdp_cache.as_ref().map(|c| c.stats()), |s| {
+        vec![("capacity".into(), Json::UInt(s.capacity))]
+    });
+    let response_cache = cache(shared.response_cache.as_ref().map(|c| c.stats()), |s| {
+        vec![
+            ("capacity_bytes".into(), Json::UInt(s.capacity)),
+            ("bytes".into(), Json::UInt(s.used)),
+        ]
+    });
     Json::Obj(vec![
         ("status".into(), Json::str("ok")),
         // Which OS process answered: lets a multi-process test (or an
@@ -527,151 +535,127 @@ fn run_workload(
     }
 }
 
-/// `POST /solve`: parse, consult the response cache, and either answer
-/// the hit inline or schedule the miss on the pool. A cache hit never
-/// touches the worker pool: the stored body is byte-exact by the wire
-/// contract. A miss parks the connection; the worker renders (or
-/// error-renders) the reply, inserts it into the cache, and delivers it
-/// as a [`Completion`] through the [`Mailbox`].
-fn solve(body: &[u8], shared: &Shared, reply_to: ReplyTo) -> Result<Routed, HttpError> {
-    let workload =
-        wire::parse_request(body, &shared.defaults).map_err(|e| HttpError::new(400, e.0))?;
-    let family = workload.family();
-    let meta = |outcome: &'static str| ResponseMeta {
-        family,
-        outcome,
-        ..ResponseMeta::new("solve")
-    };
-    let key = shared.response_cache.as_ref().map(|cache| {
-        let key = wire::response_key(&workload);
-        (Arc::clone(cache), key)
-    });
-    if let Some((cache, key)) = &key {
-        if let Some(cached) = cache.get(key) {
-            return Ok(Routed::Ready(200, String::clone(&cached), meta("hit")));
-        }
-    }
-    // The closure captures the mailbox, caches, metrics, and defaults
-    // only — never `Arc<Shared>`, which owns the pool it runs on (see
-    // the `Shared` docs).
-    let mailbox = Arc::clone(shared.transport.mailbox());
-    let sdp_cache = shared.sdp_cache.clone();
-    let metrics = Arc::clone(&shared.metrics);
-    let defaults = shared.defaults.clone();
-    let miss = meta("miss");
-    shared
-        .pool
-        .try_submit(move || {
-            // `run_workload` already contains panics via `guarded`; the
-            // extra catch covers rendering/cache-insert so a completion
-            // is *always* delivered — a parked connection must never be
-            // stranded by a worker that died between solve and deliver.
-            let solve_started = Instant::now();
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let (tree, stages) = run_workload(&workload, &defaults, sdp_cache.as_deref())?;
-                let rendered = tree.render();
-                if let Some((cache, key)) = key {
-                    cache.insert(key, rendered.clone());
-                }
-                Ok((rendered, stages))
-            }))
-            .unwrap_or_else(|_| Err((500, "internal error: solver panicked".to_string())));
-            let (status, body) = match outcome {
-                Ok((rendered, stages)) => {
-                    let total_us = u64::try_from(solve_started.elapsed().as_micros())
-                        .unwrap_or(u64::MAX);
-                    metrics.record_solve_stages(family, &stages, total_us);
-                    (200, rendered)
-                }
-                Err((status, message)) => (status, wire::error_body(&message)),
-            };
-            mailbox.deliver(Completion {
-                reply_to,
-                status,
-                body,
-                meta: miss,
-            });
-        })
-        .map_err(|_| HttpError::new(503, "solver queue is full, retry later"))?;
-    Ok(Routed::Dispatched)
+/// Where a response-cache miss delivers its answer: the one thing that
+/// differs between `POST /solve` and `POST /jobs`.
+enum Sink {
+    /// `POST /solve`: the parked connection, through the mailbox.
+    Reply(Arc<Mailbox>, ReplyTo, ResponseMeta),
+    /// `POST /jobs`: the job record.
+    Job(Arc<JobStore>, u64),
 }
 
-/// `POST /jobs`: parse, record, schedule; the worker finishes the
-/// record. Answers 202 with the job id.
-fn submit_job(body: &[u8], shared: &Shared) -> Result<Routed, HttpError> {
+impl Sink {
+    /// Delivers the rendered body, or the error status and message.
+    fn deliver(self, result: Result<String, (u16, String)>) {
+        match self {
+            Sink::Reply(mailbox, reply_to, meta) => {
+                let (status, body) = match result {
+                    Ok(body) => (200, body),
+                    Err((status, message)) => (status, wire::error_body(&message)),
+                };
+                mailbox.deliver(Completion { reply_to, status, body, meta });
+            }
+            Sink::Job(store, id) => store.finish(id, result.map_err(|(_, message)| message)),
+        }
+    }
+}
+
+/// The `202` body acknowledging job `id` in `status`.
+fn job_receipt(id: u64, status: &str) -> String {
+    Json::Obj(vec![
+        ("id".into(), Json::UInt(id)),
+        ("status".into(), Json::str(status)),
+    ])
+    .render()
+}
+
+/// `POST /solve` (`reply_to` set) and `POST /jobs` (`None`): parse,
+/// consult the response cache, and either answer the hit inline or
+/// schedule the miss on the pool.
+///
+/// A hit never touches the worker pool — the stored body is byte-exact
+/// by the wire contract — so `/solve` answers it directly and a job is
+/// born `done`. A miss submits one worker closure that solves, records
+/// the stage timings, renders, inserts the body into the cache, and
+/// hands the result to its [`Sink`]: a [`Completion`] for the parked
+/// connection, or the job record (answered `202 queued` at once).
+fn solve_or_dispatch(
+    body: &[u8],
+    shared: &Shared,
+    reply_to: Option<ReplyTo>,
+) -> Result<Routed, HttpError> {
     let workload =
         wire::parse_request(body, &shared.defaults).map_err(|e| HttpError::new(400, e.0))?;
     let family = workload.family();
+    let route = if reply_to.is_some() { "solve" } else { "jobs" };
     let meta = |outcome: &'static str| ResponseMeta {
         family,
         outcome,
-        ..ResponseMeta::new("jobs")
+        ..ResponseMeta::new(route)
     };
-    let key = shared.response_cache.as_ref().map(|cache| {
-        let key = wire::response_key(&workload);
-        (Arc::clone(cache), key)
-    });
-    // Response-cache hit: the job is born finished — the stored body is
-    // the byte-exact render of the result tree, so parsing it back
-    // recovers exactly what the worker would have stored. No pool
-    // round-trip, and the poller sees `done` immediately.
-    if let Some((cache, key)) = &key {
-        if let Some(cached) = cache.get(key) {
-            let id = shared.store.insert();
-            let result = snc_experiments::json::parse(&cached)
-                .map_err(|e| format!("internal error: cached body unparsable: {e}"));
-            shared.store.finish(id, result);
-            let status = shared.store.get(id).map_or("done", |s| s.name());
-            return Ok(Routed::Ready(
-                202,
-                Json::Obj(vec![
-                    ("id".into(), Json::UInt(id)),
-                    ("status".into(), Json::str(status)),
-                ])
-                .render(),
-                meta("hit"),
-            ));
-        }
+    let key = shared
+        .response_cache
+        .as_ref()
+        .map(|cache| (Arc::clone(cache), wire::response_key(&workload)));
+    if let Some(cached) = key.as_ref().and_then(|(cache, key)| cache.get(key)) {
+        let body = String::clone(&cached);
+        return Ok(match reply_to {
+            Some(_) => Routed::Ready(200, body, meta("hit")),
+            None => {
+                let id = shared.store.insert();
+                shared.store.finish(id, Ok(body));
+                Routed::Ready(202, job_receipt(id, "done"), meta("hit"))
+            }
+        });
     }
-    let id = shared.store.insert();
-    // The closure captures the store, caches, and metrics only — never
-    // `Arc<Shared>`, which owns the pool the closure runs on (see the
+    let (sink, job_id) = match reply_to {
+        Some(reply_to) => {
+            let mailbox = Arc::clone(shared.transport.mailbox());
+            (Sink::Reply(mailbox, reply_to, meta("miss")), None)
+        }
+        None => {
+            let id = shared.store.insert();
+            (Sink::Job(Arc::clone(&shared.store), id), Some(id))
+        }
+    };
+    // The closure captures the sink, caches, metrics, and defaults only
+    // — never `Arc<Shared>`, which owns the pool it runs on (see the
     // `Shared` docs).
-    let store = Arc::clone(&shared.store);
     let sdp_cache = shared.sdp_cache.clone();
     let metrics = Arc::clone(&shared.metrics);
     let defaults = shared.defaults.clone();
     let submitted = shared.pool.try_submit(move || {
-        store.set_running(id);
-        // run_workload contains panics, so the record always reaches a
-        // terminal state — a poller can never see `running` forever.
-        let solve_started = Instant::now();
-        let result = run_workload(&workload, &defaults, sdp_cache.as_deref())
-            .map_err(|(_, message)| message);
-        let result = result.map(|(tree, stages)| {
-            let total_us =
-                u64::try_from(solve_started.elapsed().as_micros()).unwrap_or(u64::MAX);
-            metrics.record_solve_stages(family, &stages, total_us);
-            tree
-        });
-        if let (Some((cache, key)), Ok(tree)) = (key, &result) {
-            cache.insert(key, tree.render());
+        if let Sink::Job(store, id) = &sink {
+            store.set_running(*id);
         }
-        store.finish(id, result);
+        // `run_workload` already contains solver panics via `guarded`;
+        // this catch covers rendering and the cache insert, so the sink
+        // is *always* reached — a parked connection is never stranded and
+        // a job record never stays `running`.
+        let started = Instant::now();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let (tree, stages) = run_workload(&workload, &defaults, sdp_cache.as_deref())?;
+            let rendered = tree.render();
+            if let Some((cache, key)) = key {
+                cache.insert(key, rendered.clone());
+            }
+            let total_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+            metrics.record_solve_stages(family, &stages, total_us);
+            Ok(rendered)
+        }))
+        .unwrap_or_else(|_| Err((500, "internal error: solver panicked".to_string())));
+        sink.deliver(result);
     });
     if submitted.is_err() {
-        shared.store.remove(id);
+        if let Some(id) = job_id {
+            shared.store.remove(id);
+        }
         return Err(HttpError::new(503, "solver queue is full, retry later"));
     }
-    Ok(Routed::Ready(
-        202,
-        Json::Obj(vec![
-            ("id".into(), Json::UInt(id)),
-            ("status".into(), Json::str("queued")),
-        ])
-        .render(),
-        meta("miss"),
-    ))
+    Ok(match job_id {
+        None => Routed::Dispatched,
+        Some(id) => Routed::Ready(202, job_receipt(id, "queued"), meta("miss")),
+    })
 }
 
 /// `GET /jobs/{id}`: snapshot the record.
@@ -684,14 +668,18 @@ fn poll_job(path: &str, shared: &Shared) -> Result<(u16, String), HttpError> {
         .store
         .get(id)
         .ok_or_else(|| HttpError::new(404, format!("no job {id} (expired or never existed)")))?;
-    let mut members = vec![
-        ("id".into(), Json::UInt(id)),
-        ("status".into(), Json::str(status.name())),
-    ];
-    match status {
-        JobStatus::Done(result) => members.push(("result".into(), result)),
-        JobStatus::Failed(message) => members.push(("error".into(), Json::str(message))),
-        JobStatus::Queued | JobStatus::Running => {}
-    }
-    Ok((200, Json::Obj(members).render()))
+    let body = match status {
+        // The stored result is a rendered body: embed it verbatim.
+        JobStatus::Done(result) => {
+            format!(r#"{{"id":{id},"status":"done","result":{result}}}"#)
+        }
+        JobStatus::Failed(message) => Json::Obj(vec![
+            ("id".into(), Json::UInt(id)),
+            ("status".into(), Json::str("failed")),
+            ("error".into(), Json::str(message)),
+        ])
+        .render(),
+        JobStatus::Queued | JobStatus::Running => job_receipt(id, status.name()),
+    };
+    Ok((200, body))
 }

@@ -74,6 +74,12 @@ use snc_neuro::LifParams;
 /// overflow-to-infinity regime while accepting any plausible instance.
 pub const MAX_ABS_WEIGHT: f64 = 1e12;
 
+/// Largest expected edge count `p·n(n−1)/2` a `gnp` request may ask the
+/// server to generate: the number of `[u,v]` pairs (at least 6 bytes
+/// each) the default 1 MiB body cap can carry inline, so a generated
+/// graph is never bigger than one a client could send.
+pub const MAX_GENERATED_EDGES: usize = (1 << 20) / 6;
+
 /// Server-side defaults and limits applied while parsing requests.
 #[derive(Clone, Debug)]
 pub struct RequestDefaults {
@@ -89,9 +95,10 @@ pub struct RequestDefaults {
     /// stage).
     ///
     /// Enforced *before* any instance is materialized: inline edge ids,
-    /// declared `"n"`/`"vars"`, and generator sizes are all bounded
-    /// pre-allocation, so a tiny request body cannot trigger a huge
-    /// allocation.
+    /// declared `"n"`/`"vars"`, and `gnp` sizes are all bounded
+    /// pre-allocation. Vertices alone do not bound a generator's edges,
+    /// so `gnp` is also held to [`MAX_GENERATED_EDGES`] expected edges;
+    /// together, a tiny request body cannot trigger a huge allocation.
     pub max_vertices: usize,
     /// Largest accepted `"replicas"` (per-replica circuit state is
     /// O(n), so an uncapped width is an allocation amplifier).
@@ -840,9 +847,15 @@ fn parse_graph(value: &Json, defaults: &RequestDefaults) -> Result<ParsedGraph, 
                             .as_u64()
                             .ok_or_else(|| err("`gnp.seed` must be a non-negative integer"))?,
                     };
-                    // Bound *before* generating: a huge `n` must not
-                    // allocate anything.
+                    // Bound *before* generating: a huge `n`, or a dense
+                    // `p` on a legal `n`, must not allocate anything.
                     check_vertices(n, defaults)?;
+                    let expected_edges = p * (n as f64) * (n.saturating_sub(1) as f64) / 2.0;
+                    if expected_edges > MAX_GENERATED_EDGES as f64 {
+                        return Err(err(format!(
+                            "gnp(n={n}, p={p}) would generate ~{expected_edges:.0} edges, exceeding the limit of {MAX_GENERATED_EDGES}"
+                        )));
+                    }
                     let graph = gnp(n, p, seed)
                         .map_err(|e| err(format!("invalid gnp parameters: {e}")))?;
                     // `p` formats deterministically (shortest round-trip).
@@ -1232,6 +1245,8 @@ mod tests {
 
     #[test]
     fn rejects_bad_requests_with_messages() {
+        const GNP_DENSE: &[u8] = br#"{"graph":{"gnp":{"n":10000,"p":0.999}},"budget":1}"#;
+        const GNP_COMPLETE: &[u8] = br#"{"graph":{"gnp":{"n":10000,"p":1.0}},"budget":1}"#;
         let cases: &[(&[u8], &str)] = &[
             (b"not json", "invalid JSON"),
             (br#"[1,2]"#, "must be a JSON object"),
@@ -1271,6 +1286,11 @@ mod tests {
                 br#"{"graph": "road-chesapeake", "budget": 99999999999}"#,
                 "exceeds the server limit",
             ),
+            // Dense generators: a legal `n` with a large `p` must not
+            // generate ~50 M edges before answering (the `p = 1.0` case
+            // takes the complete-graph branch).
+            (GNP_DENSE, "exceeding the limit of 174762"),
+            (GNP_COMPLETE, "exceeding the limit of 174762"),
             // Allocation-amplifier guards: all of these must be rejected
             // *before* any graph/circuit state is materialized.
             (
@@ -1466,6 +1486,13 @@ mod tests {
                 String::from_utf8_lossy(body),
                 e.0
             );
+        }
+        // The generator bound answers before generating anything.
+        for body in [GNP_DENSE, GNP_COMPLETE] {
+            let started = std::time::Instant::now();
+            assert!(parse_request(body, &defaults()).is_err());
+            let elapsed = started.elapsed();
+            assert!(elapsed.as_millis() < 100, "rejecting a dense gnp took {elapsed:?}");
         }
     }
 

@@ -13,11 +13,10 @@
 //! ```
 
 use snc::snc_graph::EmpiricalDataset;
-use snc::snc_linalg::SdpConfig;
-use snc::snc_maxcut::weighted::{solve_gw_weighted, solve_trevisan_weighted};
+use snc::snc_maxcut::weighted::solve_trevisan_weighted;
 use snc::snc_maxcut::{
-    log2_checkpoints, sample_best_trace, GwSampler, LifGwCircuit, LifGwConfig, LifTrevisanCircuit,
-    LifTrevisanConfig, RandomCutSampler,
+    log2_checkpoints, sample_best_trace, solve_gw, GwConfig, GwSampler, LifGwCircuit, LifGwConfig,
+    LifTrevisanCircuit, LifTrevisanConfig, RandomCutSampler,
 };
 
 fn main() {
@@ -31,9 +30,10 @@ fn main() {
     for ds in [EmpiricalDataset::InfUsair97, EmpiricalDataset::EcoStmarks] {
         let g = ds.load_weighted().expect("weighted stand-in loads");
 
-        // Weighted GW SDP; the sampler and the LIF-GW circuit consume the
-        // factor matrix exactly as in the unweighted case.
-        let sol = solve_gw_weighted(&g, &SdpConfig::default()).expect("SDP converges");
+        // The GW SDP on weighted couplings; the sampler and the LIF-GW
+        // circuit consume the factor matrix exactly as in the unweighted
+        // case.
+        let sol = solve_gw(&g, &GwConfig::default()).expect("SDP converges");
         let mut software = GwSampler::new(sol.factors.clone(), 1);
         let solver_best =
             sample_best_trace(&mut software, &g, &checkpoints).final_best();

@@ -141,6 +141,60 @@ fn async_jobs_match_sync_results_and_errors_are_mapped() {
     handle.shutdown();
 }
 
+/// Polls `GET /jobs/{id}` until the record leaves `queued`/`running`
+/// and returns the final poll body verbatim.
+fn poll_until_finished(addr: std::net::SocketAddr, id: u64) -> String {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    loop {
+        let (status, poll) = roundtrip(addr, "GET", &format!("/jobs/{id}"), "");
+        assert_eq!(status, 200);
+        let doc = snc_experiments::json::parse(&poll).unwrap();
+        if matches!(doc.get("status").unwrap().as_str(), Some("done" | "failed")) {
+            return poll;
+        }
+        assert!(std::time::Instant::now() < deadline, "job never finished");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+}
+
+/// A finished job record embeds the `/solve` body byte for byte, both
+/// for a job a worker computed and for a job born `done` from a
+/// response-cache hit.
+#[test]
+fn job_records_embed_the_solve_body_byte_for_byte() {
+    let handle = start_server();
+    let addr = handle.addr();
+    let submit = |request: &str| {
+        let (status, submitted) = roundtrip(addr, "POST", "/jobs", request);
+        assert_eq!(status, 202, "{submitted}");
+        let doc = snc_experiments::json::parse(&submitted).unwrap();
+        let id = doc.get("id").unwrap().as_u64().unwrap();
+        (id, doc.get("status").unwrap().as_str().unwrap().to_string())
+    };
+    let expected = |id: u64, body: &str| format!(r#"{{"id":{id},"status":"done","result":{body}}}"#);
+
+    // Computed on a worker: submitted cold, then solved (a cache hit on
+    // the body the job inserted).
+    let worker = r#"{"graph": "road-chesapeake", "circuit": "lif-gw", "budget": 32, "replicas": 2, "seed": 71}"#;
+    let (id, status) = submit(worker);
+    assert_eq!(status, "queued");
+    let record = poll_until_finished(addr, id);
+    let (status, body) = roundtrip(addr, "POST", "/solve", worker);
+    assert_eq!(status, 200);
+    assert_eq!(record, expected(id, &body), "worker-computed job record");
+
+    // Born `done` from a response-cache hit: solved first, then submitted.
+    let hit = r#"{"graph": {"weighted_edges": [[0,1,2.5],[1,2,0.25],[2,0,1.0]]}, "circuit": "lif-annealed", "budget": 16, "seed": 72}"#;
+    let (status, body) = roundtrip(addr, "POST", "/solve", hit);
+    assert_eq!(status, 200);
+    let (id, status) = submit(hit);
+    assert_eq!(status, "done", "a response-cache hit finishes the job at submit");
+    let (status, record) = roundtrip(addr, "GET", &format!("/jobs/{id}"), "");
+    assert_eq!(status, 200);
+    assert_eq!(record, expected(id, &body), "cache-hit job record");
+    handle.shutdown();
+}
+
 /// The acceptance criterion for the new families: a seeded request per
 /// family over real TCP, answered byte-identically across ≥ 4
 /// concurrent connections and on sequential replay.
