@@ -4,7 +4,7 @@
 //! rank 4 is the sweet spot (rank 2 under-parameterizes; higher ranks cost
 //! linearly more per iteration with no quality gain).
 
-use bench::er_graph;
+use bench::{er_graph, sdp_stop_reason};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use snc_linalg::{sdp, SdpConfig};
 use snc_maxcut::{log2_checkpoints, sample_best_trace, GwSampler};
@@ -20,16 +20,19 @@ fn rank_ablation(c: &mut Criterion) {
             ..SdpConfig::default()
         };
         // Quality readout (once, untimed): SDP bound and best-of-64 cut.
-        let sol = sdp::solve_maxcut_sdp(graph.n(), &edges, &cfg).expect("SDP converges");
+        let sol = sdp::solve_maxcut_sdp(graph.n(), &edges, &cfg).expect("SDP solves");
         let bound = sol.cut_upper_bound(graph.m() as f64);
         let iterations = sol.iterations;
+        let stop = sdp_stop_reason(&sol, &cfg);
         let mut sampler = GwSampler::new(sol.factors, 5);
         let best = sample_best_trace(&mut sampler, &graph, &log2_checkpoints(64)).final_best();
-        println!("rank {rank}: sdp_bound={bound:.2} best_of_64={best} iterations={iterations}");
+        println!(
+            "rank {rank}: sdp_bound={bound:.2} best_of_64={best} iterations={iterations} stop={stop}"
+        );
         group.bench_with_input(BenchmarkId::from_parameter(rank), &cfg, |b, cfg| {
             b.iter(|| {
                 sdp::solve_maxcut_sdp(graph.n(), &edges, cfg)
-                    .expect("SDP converges")
+                    .expect("SDP solves")
                     .energy
             })
         });

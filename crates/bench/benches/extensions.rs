@@ -18,7 +18,7 @@ fn max2sat_pipeline(c: &mut Criterion) {
             |b, inst| {
                 b.iter(|| {
                     solve_gw_max2sat(inst, &cfg, 32, 7)
-                        .expect("SDP converges")
+                        .expect("SDP solves")
                         .value
                 })
             },
@@ -38,7 +38,7 @@ fn maxdicut_pipeline(c: &mut Criterion) {
             |b, g| {
                 b.iter(|| {
                     solve_gw_maxdicut(g, &cfg, 32, 9)
-                        .expect("SDP converges")
+                        .expect("SDP solves")
                         .value
                 })
             },

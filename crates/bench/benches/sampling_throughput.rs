@@ -22,7 +22,7 @@ fn offline_costs(c: &mut Criterion) {
     let graph = er_graph(200, 0.25);
     let mut group = c.benchmark_group("offline");
     group.bench_function("sdp_solve_n200", |b| {
-        b.iter(|| gw::solve_gw(&graph, &GwConfig::default()).expect("SDP converges").sdp_bound)
+        b.iter(|| gw::solve_gw(&graph, &GwConfig::default()).expect("SDP solves").sdp_bound)
     });
     group.bench_function("spectral_solve_n200", |b| {
         b.iter(|| {

@@ -2,20 +2,33 @@
 //! sizes (the offline cost the LIF-GW circuit pays and the LIF-TR circuit
 //! avoids — the trade-off of §VI).
 
-use bench::er_graph;
+use bench::{er_graph, sdp_stop_reason};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use snc_linalg::{sdp, SdpConfig};
 use std::time::Duration;
+
+/// Once per instance, untimed: the iterations the solve took and the rule
+/// that stopped it (a capped solve times the cap, not convergence).
+fn report_convergence(label: &str, n: usize, edges: &[(u32, u32)]) {
+    let cfg = SdpConfig::default();
+    let sol = sdp::solve_maxcut_sdp(n, edges, &cfg).expect("SDP solves");
+    println!(
+        "{label}: iterations={} stop={}",
+        sol.iterations,
+        sdp_stop_reason(&sol, &cfg)
+    );
+}
 
 fn sdp_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("sdp_solve");
     for &n in &[50usize, 100, 200, 350] {
         let graph = er_graph(n, 0.25);
         let edges: Vec<(u32, u32)> = graph.edges().collect();
+        report_convergence(&format!("n={n}"), n, &edges);
         group.bench_with_input(BenchmarkId::from_parameter(n), &edges, |b, edges| {
             b.iter(|| {
                 sdp::solve_maxcut_sdp(n, edges, &SdpConfig::default())
-                    .expect("SDP converges")
+                    .expect("SDP solves")
                     .energy
             })
         });
@@ -28,13 +41,14 @@ fn sdp_density(c: &mut Criterion) {
     for &p in &[0.1f64, 0.5, 0.75] {
         let graph = er_graph(100, p);
         let edges: Vec<(u32, u32)> = graph.edges().collect();
+        report_convergence(&format!("n=100 p={p}"), 100, &edges);
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("p{p}")),
             &edges,
             |b, edges| {
                 b.iter(|| {
                     sdp::solve_maxcut_sdp(100, edges, &SdpConfig::default())
-                        .expect("SDP converges")
+                        .expect("SDP solves")
                         .energy
                 })
             },

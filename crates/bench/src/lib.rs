@@ -7,7 +7,7 @@
 use snc_experiments::config::{ExperimentScale, SuiteConfig};
 use snc_graph::generators::erdos_renyi::gnp;
 use snc_graph::Graph;
-use snc_linalg::{DMatrix, SdpConfig};
+use snc_linalg::{DMatrix, SdpConfig, SdpSolution};
 use snc_maxcut::{gw, GwConfig};
 
 /// A small sample budget that keeps bench iterations in the millisecond
@@ -32,8 +32,21 @@ pub fn er_graph(n: usize, p: f64) -> Graph {
 /// excluded from sampler timings by doing it outside the timed closure).
 pub fn sdp_factors(graph: &Graph) -> DMatrix {
     gw::solve_gw(graph, &GwConfig { sdp: SdpConfig::default() })
-        .expect("SDP converges")
+        .expect("SDP solves")
         .factors
+}
+
+/// Which rule stopped a Burer–Monteiro solve: `grad_tol` (converged),
+/// `max_iters` (every restart hit the cap), or `armijo-stall` (the line
+/// search found no decrease). `Ok` from the solver says none of this.
+pub fn sdp_stop_reason(sol: &SdpSolution, cfg: &SdpConfig) -> &'static str {
+    if sol.grad_norm <= cfg.grad_tol * (1.0 + sol.energy.abs()) {
+        "grad_tol"
+    } else if sol.iterations == cfg.max_iters * cfg.restarts.max(1) {
+        "max_iters"
+    } else {
+        "armijo-stall"
+    }
 }
 
 /// The smallest Figure-4 empirical graph (road-chesapeake, 39 vertices /

@@ -31,10 +31,15 @@ pub struct Coupling {
     pub w: f64,
 }
 
+/// The largest factorization rank [`solve_weighted_sdp`] accepts. The
+/// kernel is compiled once per rank in `1..=MAX_RANK`, so each factor row
+/// is a fixed-size array the gradient accumulates in registers.
+pub const MAX_RANK: usize = 16;
+
 /// Configuration for the Burer–Monteiro solver.
 #[derive(Clone, Copy, Debug)]
 pub struct SdpConfig {
-    /// Factorization rank `r` (the paper uses 4).
+    /// Factorization rank `r` (the paper uses 4), in `1..=`[`MAX_RANK`].
     pub rank: usize,
     /// Maximum gradient iterations per restart.
     pub max_iters: usize,
@@ -75,8 +80,11 @@ impl SdpSolution {
     /// The MAXCUT SDP objective `Σ w_ij (1 − v_i·v_j)/2` implied by this
     /// solution, given the total coupling weight `Σ w_ij`.
     ///
-    /// For an unweighted graph pass `total_weight = m`. For a (near-)optimal
-    /// solution this upper-bounds the maximum cut.
+    /// For an unweighted graph pass `total_weight = m`. This is the primal
+    /// objective at the returned iterate, not a certificate: it bounds the
+    /// maximum cut only when the iterate is the SDP optimum, and a solve
+    /// that stops at `max_iters` (or on an Armijo stall) can sit below the
+    /// optimum, and so below the maximum cut.
     pub fn cut_upper_bound(&self, total_weight: f64) -> f64 {
         0.5 * (total_weight - self.energy)
     }
@@ -103,8 +111,8 @@ impl SdpSolution {
 ///
 /// # Errors
 ///
-/// * [`LinalgError::InvalidArgument`] for `n == 0`, zero rank, or a coupling
-///   referencing an out-of-range vertex.
+/// * [`LinalgError::InvalidArgument`] for `n == 0`, a rank outside
+///   `1..=`[`MAX_RANK`], or a coupling referencing an out-of-range vertex.
 pub fn solve_weighted_sdp(
     n: usize,
     couplings: &[Coupling],
@@ -113,9 +121,25 @@ pub fn solve_weighted_sdp(
     if n == 0 {
         return Err(LinalgError::InvalidArgument("sdp: n must be positive"));
     }
-    if cfg.rank == 0 {
-        return Err(LinalgError::InvalidArgument("sdp: rank must be positive"));
-    }
+    let descend = match cfg.rank {
+        1 => descend::<1>,
+        2 => descend::<2>,
+        3 => descend::<3>,
+        4 => descend::<4>,
+        5 => descend::<5>,
+        6 => descend::<6>,
+        7 => descend::<7>,
+        8 => descend::<8>,
+        9 => descend::<9>,
+        10 => descend::<10>,
+        11 => descend::<11>,
+        12 => descend::<12>,
+        13 => descend::<13>,
+        14 => descend::<14>,
+        15 => descend::<15>,
+        16 => descend::<16>,
+        _ => return Err(LinalgError::InvalidArgument("sdp: rank must be in 1..=MAX_RANK")),
+    };
     for c in couplings {
         if c.i as usize >= n || c.j as usize >= n {
             return Err(LinalgError::InvalidArgument("sdp: coupling vertex out of range"));
@@ -147,8 +171,8 @@ pub fn solve_weighted_sdp(
     let mut total_iters = 0usize;
     for restart in 0..cfg.restarts.max(1) {
         let seed = SplitMix64::derive(cfg.seed, restart as u64);
-        let (sol, iters) = descend(n, &offsets, &neighbors, cfg, seed);
-        total_iters += iters;
+        let sol = descend(n, &offsets, &neighbors, cfg, seed);
+        total_iters += sol.iterations;
         match &best {
             Some(b) if b.energy <= sol.energy => {}
             _ => best = Some(sol),
@@ -177,41 +201,47 @@ pub fn solve_maxcut_sdp(
 }
 
 /// Riemannian gradient descent with Armijo backtracking from one random
-/// initialization. Returns the solution and iteration count.
-fn descend(
+/// initialization, at compile-time rank `R`.
+///
+/// Rows are `[f64; R]`, so the per-row loops unroll and each gradient row
+/// accumulates in registers; nothing is allocated per iteration. The
+/// arithmetic goes through the same [`vector`] helpers in the same order as
+/// a slice-based loop would, so the iterates do not depend on how the rank
+/// was dispatched (the `iterates_match_recorded_digests` test pins them).
+fn descend<const R: usize>(
     n: usize,
     offsets: &[usize],
     neighbors: &[(u32, f64)],
     cfg: &SdpConfig,
     seed: u64,
-) -> (SdpSolution, usize) {
-    let r = cfg.rank;
+) -> SdpSolution {
     let mut rng = Xoshiro256pp::new(seed);
-    let mut v = DMatrix::zeros(n, r);
-    for i in 0..n {
-        let row = v.row_mut(i);
-        for x in row.iter_mut() {
-            *x = rng.next_f64() - 0.5;
-        }
-        if vector::normalize(row) == 0.0 {
-            row[0] = 1.0;
-        }
-    }
+    let mut v: Vec<[f64; R]> = (0..n)
+        .map(|_| {
+            let mut row = [0.0; R];
+            for x in &mut row {
+                *x = rng.next_f64() - 0.5;
+            }
+            if vector::normalize(&mut row) == 0.0 {
+                row[0] = 1.0;
+            }
+            row
+        })
+        .collect();
 
-    let energy_of = |v: &DMatrix| -> f64 {
+    let energy_of = |v: &[[f64; R]]| -> f64 {
         // f = 1/2 Σ_i Σ_{j∈adj(i)} w_ij ⟨v_i, v_j⟩ (each edge twice).
         let mut e = 0.0;
-        for i in 0..n {
-            let vi = v.row(i);
+        for (i, vi) in v.iter().enumerate() {
             for &(j, w) in &neighbors[offsets[i]..offsets[i + 1]] {
-                e += w * vector::dot(vi, v.row(j as usize));
+                e += w * vector::dot(vi, &v[j as usize]);
             }
         }
         0.5 * e
     };
 
-    let mut grad = DMatrix::zeros(n, r);
-    let mut trial = DMatrix::zeros(n, r);
+    let mut grad = vec![[0.0; R]; n];
+    let mut trial = vec![[0.0; R]; n];
     let mut energy = energy_of(&v);
     let mut step = 0.5;
     let mut grad_norm = f64::INFINITY;
@@ -222,17 +252,16 @@ fn descend(
         // Riemannian gradient: project Σ w v_j onto the tangent space of
         // each sphere.
         let mut gn2 = 0.0;
-        for i in 0..n {
+        for (i, (vi, gi)) in v.iter().zip(&mut grad).enumerate() {
             // Euclidean gradient for row i.
-            let mut g = vec![0.0; r];
+            let mut g = [0.0; R];
             for &(j, w) in &neighbors[offsets[i]..offsets[i + 1]] {
-                vector::axpy(w, v.row(j as usize), &mut g);
+                vector::axpy(w, &v[j as usize], &mut g);
             }
-            let vi = v.row(i);
             let c = vector::dot(&g, vi);
             vector::axpy(-c, vi, &mut g);
             gn2 += vector::norm_sq(&g);
-            grad.row_mut(i).copy_from_slice(&g);
+            *gi = g;
         }
         grad_norm = gn2.sqrt();
         let scale = 1.0 + energy.abs();
@@ -244,12 +273,11 @@ fn descend(
         let mut eta = step;
         let mut accepted = false;
         for _ in 0..40 {
-            for i in 0..n {
-                let t = trial.row_mut(i);
-                t.copy_from_slice(v.row(i));
-                vector::axpy(-eta, grad.row(i), t);
+            for ((t, vi), gi) in trial.iter_mut().zip(&v).zip(&grad) {
+                *t = *vi;
+                vector::axpy(-eta, gi, t);
                 if vector::normalize(t) == 0.0 {
-                    t.copy_from_slice(v.row(i));
+                    *t = *vi;
                 }
             }
             let e_new = energy_of(&trial);
@@ -268,15 +296,12 @@ fn descend(
         }
     }
 
-    (
-        SdpSolution {
-            factors: v,
-            energy,
-            iterations: iters,
-            grad_norm,
-        },
-        iters,
-    )
+    SdpSolution {
+        factors: DMatrix::from_vec(n, R, v.into_flattened()),
+        energy,
+        iterations: iters,
+        grad_norm,
+    }
 }
 
 #[cfg(test)]
@@ -378,6 +403,20 @@ mod tests {
     }
 
     #[test]
+    fn rejects_rank_above_max() {
+        let edges = [(0, 1), (1, 2), (0, 2)];
+        let mut c = cfg(MAX_RANK + 1);
+        assert!(matches!(
+            solve_maxcut_sdp(3, &edges, &c),
+            Err(LinalgError::InvalidArgument(_))
+        ));
+        c.rank = MAX_RANK;
+        let sol = solve_maxcut_sdp(3, &edges, &c).unwrap();
+        assert_eq!(sol.factors.cols(), MAX_RANK);
+        assert!((sol.energy + 1.5).abs() < 1e-4, "energy={}", sol.energy);
+    }
+
+    #[test]
     fn into_factor_and_bound_matches_the_accessors() {
         let edges = [(0, 1), (1, 2), (0, 2)];
         let sol = solve_maxcut_sdp(3, &edges, &cfg(2)).unwrap();
@@ -386,6 +425,162 @@ mod tests {
         let (extracted, extracted_bound) = sol.into_factor_and_bound(3.0);
         assert_eq!(extracted, factors);
         assert_eq!(extracted_bound, bound);
+    }
+
+    /// Signed couplings on `n` vertices, the last two isolated: a ring over
+    /// the other `n − 2` plus random chords, weights drawn from [−1.5, 2.5)
+    /// so some are negative.
+    fn signed_couplings(n: u32, chords: usize, seed: u64) -> Vec<Coupling> {
+        let mut rng = Xoshiro256pp::new(seed);
+        let live = n - 2;
+        let weight = |rng: &mut Xoshiro256pp| 4.0 * rng.next_f64() - 1.5;
+        let mut out: Vec<Coupling> = (0..live)
+            .map(|i| Coupling {
+                i,
+                j: (i + 1) % live,
+                w: weight(&mut rng),
+            })
+            .collect();
+        for _ in 0..chords {
+            let i = (rng.next_u64() % u64::from(live)) as u32;
+            let j = (rng.next_u64() % u64::from(live)) as u32;
+            if i != j {
+                out.push(Coupling {
+                    i,
+                    j,
+                    w: weight(&mut rng),
+                });
+            }
+        }
+        out
+    }
+
+    /// FNV-1a over the little-endian bytes of every factor entry.
+    fn factor_digest(m: &DMatrix) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for x in m.as_slice() {
+            for b in x.to_bits().to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Exit {
+        Converged,
+        Capped,
+        Stalled,
+    }
+
+    /// How a solve stopped, as seen from its output: `Converged` when the
+    /// returned gradient meets the tolerance, `Capped` when every restart
+    /// spent all of `max_iters`, and `Stalled` otherwise (some restart's
+    /// line search found no decrease).
+    fn exit_of(sol: &SdpSolution, cfg: &SdpConfig) -> Exit {
+        if sol.grad_norm <= cfg.grad_tol * (1.0 + sol.energy.abs()) {
+            Exit::Converged
+        } else if sol.iterations == cfg.max_iters * cfg.restarts.max(1) {
+            Exit::Capped
+        } else {
+            Exit::Stalled
+        }
+    }
+
+    /// One pinned solve: rank, restarts, max_iters, grad_tol, exit, energy
+    /// bits, grad_norm bits, iterations, factor digest.
+    type Pin = (usize, usize, usize, f64, Exit, u64, u64, usize, u64);
+
+    /// Pins the solver's output bit for bit: energy, gradient norm,
+    /// iteration count and a factor digest for every rank the workspace
+    /// uses, one and two restarts, and stopping rules that reach all three
+    /// exits (gradient tolerance, iteration cap, Armijo stall). Any change
+    /// to the kernel's floating-point order moves a digest here.
+    #[test]
+    fn iterates_match_recorded_digests() {
+        use Exit::{Capped, Converged, Stalled};
+        #[rustfmt::skip]
+        let cases: [Pin; 36] = [
+            (1, 1, 5000, 1e-6, Converged, 0x402a_2cf4_aa8a_a737, 0x3cd1_e377_9b97_f4a8, 1, 0x1b94_f318_8c4c_f965),
+            (1, 1, 25, 0.0, Converged, 0x402a_2cf4_aa8a_a737, 0x0000_0000_0000_0000, 2, 0xd2a0_55bd_bb9b_4aa5),
+            (1, 1, 3000, 0.0, Converged, 0x402a_2cf4_aa8a_a737, 0x0000_0000_0000_0000, 2, 0xd2a0_55bd_bb9b_4aa5),
+            (1, 2, 5000, 1e-6, Converged, 0xc00b_4df5_f15c_b42f, 0x3cd8_54bf_b363_dc39, 2, 0x8f53_e066_7158_88d0),
+            (1, 2, 25, 0.0, Stalled, 0xc00b_4df5_f15c_b42f, 0x3cd8_54bf_b363_dc39, 3, 0x8f53_e066_7158_88d0),
+            (1, 2, 3000, 0.0, Stalled, 0xc00b_4df5_f15c_b42f, 0x3cd8_54bf_b363_dc39, 3, 0x8f53_e066_7158_88d0),
+            (2, 1, 5000, 1e-6, Converged, 0xc043_e90c_f6c2_3208, 0x3f03_de7a_34f4_2bbe, 301, 0x0aae_21aa_685c_42db),
+            (2, 1, 25, 0.0, Capped, 0xc043_d8ef_ac85_f7a8, 0x3fcc_5ee8_dd4c_bdb3, 25, 0x7e53_e009_ca87_d58e),
+            (2, 1, 3000, 0.0, Stalled, 0xc043_e90c_f6c7_e7c3, 0x3e8b_748d_0892_28a2, 456, 0x322b_04d7_2ab6_377b),
+            (2, 2, 5000, 1e-6, Converged, 0xc043_e90c_f6c2_3208, 0x3f03_de7a_34f4_2bbe, 512, 0x0aae_21aa_685c_42db),
+            (2, 2, 25, 0.0, Capped, 0xc043_d8ef_ac85_f7a8, 0x3fcc_5ee8_dd4c_bdb3, 50, 0x7e53_e009_ca87_d58e),
+            (2, 2, 3000, 0.0, Stalled, 0xc043_e90c_f6c7_e7c3, 0x3e8b_748d_0892_28a2, 775, 0x322b_04d7_2ab6_377b),
+            (3, 1, 5000, 1e-6, Converged, 0xc043_f6fa_c249_5dc3, 0x3f05_4851_4581_1cad, 318, 0x15a4_f8e8_6e26_e1a3),
+            (3, 1, 25, 0.0, Capped, 0xc043_91be_64b5_5c34, 0x3fe3_3ee6_ef7d_0d99, 25, 0x1008_02db_0eda_2327),
+            (3, 1, 3000, 0.0, Capped, 0xc043_f6fa_c254_d61d, 0x3e93_754b_acc7_01ad, 3000, 0x219a_c644_f0d8_9629),
+            (3, 2, 5000, 1e-6, Converged, 0xc043_f6fa_c24f_0de0, 0x3efe_8487_7a88_f6c6, 745, 0xbc9a_93c0_bf70_dc2b),
+            (3, 2, 25, 0.0, Capped, 0xc043_ba35_fe19_657e, 0x3fe4_bdd2_9e51_5226, 50, 0x74a7_f507_e303_c5b6),
+            (3, 2, 3000, 0.0, Stalled, 0xc043_f6fa_c254_d636, 0x3e8c_a9b1_210c_179e, 3630, 0x3476_a70c_d6a3_414e),
+            (4, 1, 5000, 1e-6, Converged, 0xc043_f6fa_c248_2bbd, 0x3f04_a1ac_2542_8f70, 418, 0xb22a_b073_1a9e_b677),
+            (4, 1, 25, 0.0, Capped, 0xc043_bb36_1dd9_b458, 0x3fe8_9975_27da_844a, 25, 0xe40c_85ef_ddee_b864),
+            (4, 1, 3000, 0.0, Stalled, 0xc043_f6fa_c254_d5dc, 0x3ea1_79a0_6497_5468, 673, 0xfcaf_a5c1_b727_4b19),
+            (4, 2, 5000, 1e-6, Converged, 0xc043_f6fa_c248_2bbd, 0x3f04_a1ac_2542_8f70, 788, 0xb22a_b073_1a9e_b677),
+            (4, 2, 25, 0.0, Capped, 0xc043_e3db_9e7b_7263, 0x3fe2_cacb_9d58_386f, 50, 0x8390_3c17_46fb_ffb2),
+            (4, 2, 3000, 0.0, Stalled, 0xc043_f6fa_c254_d5fc, 0x3e94_d4c6_0a7a_8db9, 1313, 0x8d63_f32a_69fa_b91a),
+            (8, 1, 5000, 1e-6, Converged, 0xc043_f6fa_c244_db4e, 0x3f03_b88c_382e_f7fd, 457, 0xcbd6_02dd_47cc_d769),
+            (8, 1, 25, 0.0, Capped, 0xc043_e8ba_96e5_9fc9, 0x3fd1_a7c9_23da_f8e1, 25, 0xf742_05ab_711f_ec7f),
+            (8, 1, 3000, 0.0, Stalled, 0xc043_f6fa_c254_d5b6, 0x3e9f_4bea_4758_fa0a, 711, 0x9dbe_e697_58e9_577f),
+            (8, 2, 5000, 1e-6, Converged, 0xc043_f6fa_c244_db4e, 0x3f03_b88c_382e_f7fd, 943, 0xcbd6_02dd_47cc_d769),
+            (8, 2, 25, 0.0, Capped, 0xc043_e8ba_96e5_9fc9, 0x3fd1_a7c9_23da_f8e1, 50, 0xf742_05ab_711f_ec7f),
+            (8, 2, 3000, 0.0, Stalled, 0xc043_f6fa_c254_d5eb, 0x3ea0_b788_861b_426d, 1477, 0x02b4_072a_2376_1042),
+            (16, 1, 5000, 1e-6, Converged, 0xc043_f6fa_c246_b174, 0x3f04_2cae_8991_cd4b, 501, 0xbac7_73d0_2dde_5341),
+            (16, 1, 25, 0.0, Capped, 0xc043_e43f_e1f4_fb11, 0x3fd2_dda8_e403_60ca, 25, 0x8a4e_f5ef_c87a_6e5e),
+            (16, 1, 3000, 0.0, Stalled, 0xc043_f6fa_c254_d60e, 0x3e92_06b5_a224_5362, 791, 0x1479_b433_c4cf_00cc),
+            (16, 2, 5000, 1e-6, Converged, 0xc043_f6fa_c246_b174, 0x3f04_2cae_8991_cd4b, 966, 0xbac7_73d0_2dde_5341),
+            (16, 2, 25, 0.0, Capped, 0xc043_e6bf_db4f_1ce0, 0x3fd1_2de3_3878_6afc, 50, 0xa382_d522_1bf4_f50f),
+            (16, 2, 3000, 0.0, Stalled, 0xc043_f6fa_c254_d615, 0x3e91_62ed_436b_81a6, 1547, 0x35b5_68b2_280a_2c07),
+        ];
+        let couplings = signed_couplings(24, 40, 0xd1ce);
+        assert!(couplings.iter().any(|c| c.w < 0.0));
+        for (rank, restarts, max_iters, grad_tol, exit, energy, grad_norm, iterations, digest) in
+            cases
+        {
+            let cfg = SdpConfig {
+                rank,
+                max_iters,
+                grad_tol,
+                restarts,
+                seed: 0x5eed,
+            };
+            let sol = solve_weighted_sdp(24, &couplings, &cfg).unwrap();
+            let case = format!("rank {rank}, restarts {restarts}, max_iters {max_iters}");
+            assert_eq!(exit_of(&sol, &cfg), exit, "{case}");
+            assert_eq!(
+                sol.energy.to_bits(),
+                energy,
+                "{case}: energy {}",
+                sol.energy
+            );
+            assert_eq!(
+                sol.grad_norm.to_bits(),
+                grad_norm,
+                "{case}: grad_norm {}",
+                sol.grad_norm
+            );
+            assert_eq!(sol.iterations, iterations, "{case}");
+            assert_eq!(factor_digest(&sol.factors), digest, "{case}");
+            for i in 22..24 {
+                assert!(
+                    (vector::norm(sol.factors.row(i)) - 1.0).abs() < 1e-12,
+                    "{case}"
+                );
+            }
+        }
+        for exit in [Converged, Capped, Stalled] {
+            assert!(
+                cases.iter().any(|c| c.4 == exit),
+                "no case reaches {exit:?}"
+            );
+        }
     }
 
     #[test]

@@ -32,8 +32,10 @@ pub struct GwConfig {
 pub struct GwSolution {
     /// The `n × r` factor matrix; row `i` is vertex `i`'s unit vector.
     pub factors: DMatrix,
-    /// The SDP objective `Σ (1 − v_i·v_j)/2` — an upper bound on OPT at
-    /// the true optimum.
+    /// The SDP objective `Σ w_ij (1 − v_i·v_j)/2` at the returned iterate
+    /// (see [`sdp::SdpSolution::cut_upper_bound`]). It upper-bounds OPT
+    /// only when that iterate is the SDP optimum; it is not certified, and
+    /// a solve stopped by the iteration cap can report less than OPT.
     pub sdp_bound: f64,
 }
 
@@ -204,5 +206,42 @@ mod tests {
             sol.sdp_bound.to_bits(),
             reference.cut_upper_bound(w.total_weight()).to_bits()
         );
+    }
+
+    /// The SDP bits the server hands the circuits, pinned on two of the
+    /// Figure-4 graphs: `solve_gw` at the default config with the slot-1
+    /// seed the solve path derives from the request's master seed. Both
+    /// solves stop at the 2000-iteration cap, so every iterate counts.
+    #[test]
+    fn served_sdp_matches_recorded_digests() {
+        use snc_devices::SplitMix64;
+        use snc_graph::EmpiricalDataset::{Dwt209, RoadChesapeake};
+        // (graph, master seed, sdp_bound bits, FNV-1a of the factor bits)
+        #[rustfmt::skip]
+        let cases = [
+            (RoadChesapeake, 1, 0x405e_167e_5d3a_6080, 0x62d1_ffda_d2f9_bbe4),
+            (RoadChesapeake, 7, 0x405e_167e_5d3e_4798, 0x172c_beb8_5ed0_a618),
+            (Dwt209, 1, 0x4080_f278_e319_f872, 0x634d_9abc_db99_761e),
+        ];
+        for (dataset, seed, bound, digest) in cases {
+            let g = dataset.load().unwrap();
+            let sdp = SdpConfig {
+                seed: SplitMix64::derive(seed, 1),
+                ..SdpConfig::default()
+            };
+            let sol = solve_gw(&g, &GwConfig { sdp }).unwrap();
+            let factor_digest = sol
+                .factors
+                .as_slice()
+                .iter()
+                .flat_map(|x| x.to_bits().to_le_bytes())
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+                });
+            let case = format!("{} seed {seed}", dataset.name());
+            let bits = sol.sdp_bound.to_bits();
+            assert_eq!(bits, bound, "{case}: bound {}", sol.sdp_bound);
+            assert_eq!(factor_digest, digest, "{case}");
+        }
     }
 }
